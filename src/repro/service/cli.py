@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 import tempfile
 from typing import List
@@ -73,10 +74,15 @@ def run_serve(args: argparse.Namespace) -> int:
             await server.stop()
 
     with service:
+        # SIGTERM takes Ctrl-C's path: KeyboardInterrupt unwinds the event
+        # loop (closing the server), then `with service:` stops the pool.
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             asyncio.run(_serve())
         except KeyboardInterrupt:
             print("service interrupted; shutting down", file=sys.stderr)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
     return 0
 
 

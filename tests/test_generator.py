@@ -47,6 +47,13 @@ class TestProfileValidation:
         with pytest.raises(WorkloadError, match="phase_length"):
             WorkloadProfile(name="x", phase_length=-1)
 
+    @pytest.mark.parametrize("insts", [(0, 2), (0, 0)])
+    def test_empty_blocks_rejected(self, insts):
+        # (0, k) used to pass here and fail generation with "generated an
+        # empty basic block" once a fallthrough block drew 0 instructions.
+        with pytest.raises(WorkloadError, match="insts_per_block"):
+            WorkloadProfile(name="x", num_functions=8, insts_per_block=insts)
+
     @pytest.mark.parametrize("targets", [(0, 3), (5, 2), (0, 0)])
     def test_degenerate_indirect_call_targets_rejected(self, targets):
         with pytest.raises(WorkloadError, match="indirect_call_targets"):

@@ -164,5 +164,6 @@ def test_golden_files_have_no_strays():
     expected = {_golden_path(w, d).name for w, d, _ in GOLDEN_RUNS}
     expected |= {_engine_golden_path("bm-x64", d, e).name
                  for e, d, _ in ENGINE_GOLDEN_RUNS}
+    expected.add("program_images.json")     # tests/test_program_images.py
     present = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert present == expected
