@@ -198,6 +198,11 @@ class SweepRunner:
             self._run_serial(remaining, completed, report, journal)
         else:
             self._run_parallel(remaining, completed, report, journal)
+        # execute_job keeps the fast loop's views of the current trace
+        # only; a finished sweep keeps none.  (Imported here, as the
+        # simulator imports the fast loop, to keep it out of start-up.)
+        from ..core.fastpath import release_views
+        release_views()
 
         report.elapsed_seconds = time.monotonic() - started
         ordered = {job.job_id: completed[job.job_id]

@@ -135,6 +135,10 @@ def _apply_worker_fault(fault: Mapping[str, Any]) -> None:
 
 def _worker_main(conn: Any, heartbeat_interval: float) -> None:
     """Worker loop: recv job -> beat -> simulate -> send outcome."""
+    # A worker forked while `repro serve` maps SIGTERM to KeyboardInterrupt
+    # (a respawned one, say) must still die on SIGTERM, not report it as a
+    # job error.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     send_lock = threading.Lock()
 
     def send(message: Tuple[Any, ...]) -> None:

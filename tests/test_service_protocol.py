@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.common.errors import ProtocolError
+from repro.core import fastpath
 from repro.core.experiment import policy_config, workload_trace
 from repro.core.simulator import Simulator
 from repro.service.protocol import KEY_VERSION, JobSpec, execute_spec
@@ -191,3 +192,13 @@ class TestExecuteSpecFastMode:
 
         assert canonical_json(fast.to_dict()) == \
             canonical_json(slow.to_dict())
+
+    def test_views_outlive_a_switch_of_trace(self):
+        # A worker may be handed specs of several workloads in turn, so a
+        # view stays cached as long as its trace does.
+        specs = [_spec(workload="bm-x64"), _spec(workload="bm-lla")]
+        for spec in specs:
+            execute_spec(spec)
+        traces = [workload_trace(spec.workload, INSTRUCTIONS, seed=7)
+                  for spec in specs]
+        assert all(trace in fastpath._VIEW_CACHE for trace in traces)

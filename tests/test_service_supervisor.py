@@ -1,6 +1,9 @@
 """Tests for the supervised worker pool: retries, restarts, deadlines,
 heartbeats, and quarantine — with injected process-level faults."""
 
+import os
+import signal
+
 import pytest
 
 from repro.common.errors import ServiceError
@@ -113,6 +116,23 @@ class TestFaultRecovery:
         assert hub.summary().get("worker_restart", 0) >= 1
         assert results[spec.key] == execute_spec(spec)
         assert report.retried == {spec.key: 1}
+
+    def test_respawned_worker_dies_on_sigterm(self):
+        # `repro serve` maps SIGTERM to KeyboardInterrupt while its pool
+        # runs, so workers respawned meanwhile inherit that handler.
+        spec = _spec()
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            with WorkerPool(_config(workers=1),
+                            faults={spec.key: [{"kill": True}]}) as pool:
+                _, report = pool.run_batch([(spec.key, spec)])
+                assert report.ok and report.worker_restarts == 1
+                process = pool._slots[0].process
+                os.kill(process.pid, signal.SIGTERM)
+                process.join(timeout=10)
+                assert process.exitcode == -signal.SIGTERM
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_hang_past_deadline_is_killed_and_retried(self):
         spec = _spec()
