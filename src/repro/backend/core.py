@@ -185,7 +185,7 @@ class OutOfOrderBackend:
             if not d_full:
                 d_full = len(dispatch_ring) == queue_entries
             if latency < 0:
-                latency = hierarchy.access_data_fast(mem_addr) \
+                latency = hierarchy.access_data(mem_addr) \
                     if mem_addr is not None and hierarchy is not None \
                     else _LOAD_STATIC_LATENCY
             complete = d_cycle + latency

@@ -1,7 +1,7 @@
 """Branch prediction: TAGE, BTB, RAS, and prediction-window construction."""
 
 from .btb import BranchTargetBuffer, BtbOutcome, BtbRecord, ReturnAddressStack
-from .predictor import BranchPredictionUnit, BranchResolution, PredictionOutcome
+from .predictor import BranchPredictionUnit, PredictionOutcome
 from .tage import TagePredictor
 from .window import (
     PredictionWindow,
@@ -11,7 +11,6 @@ from .window import (
 
 __all__ = [
     "BranchPredictionUnit",
-    "BranchResolution",
     "BranchTargetBuffer",
     "BtbOutcome",
     "BtbRecord",

@@ -18,7 +18,6 @@ predictor would have done.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from ..common.config import BranchPredictorConfig
@@ -27,17 +26,19 @@ from .btb import BranchTargetBuffer, BtbOutcome, ReturnAddressStack
 from .tage import TagePredictor
 
 
-class PredictionOutcome(enum.Enum):
-    CORRECT = "correct"
-    DECODE_RESTEER = "decode-resteer"
-    MISPREDICT = "mispredict"
+class PredictionOutcome(enum.IntEnum):
+    """What :meth:`BranchPredictionUnit.observe` returns.  An ``IntEnum``,
+    so the serve loops can compare it with plain ints and no object is
+    allocated per branch."""
+
+    CORRECT = 0
+    DECODE_RESTEER = 1
+    MISPREDICT = 2
 
 
-@dataclass
-class BranchResolution:
-    outcome: PredictionOutcome
-    predicted_taken: bool
-    actual_taken: bool
+# Module-level aliases: on the per-branch path a global load costs a
+# third of an enum attribute lookup.
+_CORRECT, _DECODE_RESTEER, _MISPREDICT = PredictionOutcome
 
 
 class BranchPredictionUnit:
@@ -53,54 +54,17 @@ class BranchPredictionUnit:
         self.decode_resteers = 0
 
     def observe(self, inst: X86Instruction, taken: bool,
-                actual_target: int) -> BranchResolution:
-        """Resolve one dynamic branch; updates all predictor state."""
-        if not inst.is_branch:
-            raise ValueError(f"instruction at {inst.address:#x} is not a branch")
+                actual_target: int) -> PredictionOutcome:
+        """Resolve one dynamic branch; updates all predictor state and the
+        outcome counters.  Conditional branches, the overwhelmingly common
+        kind, go through the fused single-walk
+        :meth:`TagePredictor.observe`."""
         self.branches += 1
         if self.config.perfect:
             # Limit study: still trains the predictors (so statistics stay
             # meaningful) but never reports a redirect.
             self._train_only(inst, taken, actual_target)
-            return BranchResolution(PredictionOutcome.CORRECT, taken, taken)
-        kind = inst.branch_kind
-
-        if kind is BranchKind.CONDITIONAL:
-            resolution = self._observe_conditional(inst, taken, actual_target)
-        elif kind in (BranchKind.UNCONDITIONAL, BranchKind.CALL):
-            resolution = self._observe_direct(inst, actual_target)
-            if kind is BranchKind.CALL:
-                self.ras.push(inst.end_address)
-        elif kind is BranchKind.INDIRECT_CALL:
-            resolution = self._observe_indirect(inst, actual_target)
-            self.ras.push(inst.end_address)
-        elif kind is BranchKind.RET:
-            resolution = self._observe_return(inst, actual_target)
-        elif kind is BranchKind.INDIRECT:
-            resolution = self._observe_indirect(inst, actual_target)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unhandled branch kind {kind}")
-
-        if resolution.outcome is PredictionOutcome.MISPREDICT:
-            self.mispredicts += 1
-        elif resolution.outcome is PredictionOutcome.DECODE_RESTEER:
-            self.decode_resteers += 1
-        return resolution
-
-    def observe_fast(self, inst: X86Instruction, taken: bool,
-                     actual_target: int) -> int:
-        """Counters-only :meth:`observe`: identical predictor state changes
-        and outcome counters, but returns the outcome as a plain int
-        (0 = correct, 1 = decode resteer, 2 = mispredict) and skips the
-        per-branch :class:`BranchResolution` allocation.  Conditional
-        branches — the overwhelmingly common kind — go through the fused
-        single-walk :meth:`TagePredictor.observe`; the rare kinds reuse the
-        slow-path helpers verbatim.
-        """
-        self.branches += 1
-        if self.config.perfect:
-            self._train_only(inst, taken, actual_target)
-            return 0
+            return _CORRECT
         kind = inst.branch_kind
 
         if kind is BranchKind.CONDITIONAL:
@@ -110,83 +74,63 @@ class BranchPredictionUnit:
                 if taken:
                     self.btb.install(address, actual_target, kind)
                 self.mispredicts += 1
-                return 2
+                return _MISPREDICT
             if taken:
                 btb_outcome, record = self.btb.lookup(address)
                 self.btb.install(address, actual_target, kind)
                 if btb_outcome is BtbOutcome.MISS or record is None:
                     self.decode_resteers += 1
-                    return 1
+                    return _DECODE_RESTEER
                 if record.target != actual_target:
                     self.mispredicts += 1
-                    return 2
-            return 0
+                    return _MISPREDICT
+            return _CORRECT
 
         if kind in (BranchKind.UNCONDITIONAL, BranchKind.CALL):
-            resolution = self._observe_direct(inst, actual_target)
+            outcome = self._observe_direct(inst, actual_target)
             if kind is BranchKind.CALL:
                 self.ras.push(inst.end_address)
         elif kind is BranchKind.INDIRECT_CALL:
-            resolution = self._observe_indirect(inst, actual_target)
+            outcome = self._observe_indirect(inst, actual_target)
             self.ras.push(inst.end_address)
         elif kind is BranchKind.RET:
-            resolution = self._observe_return(inst, actual_target)
+            outcome = self._observe_return(actual_target)
         elif kind is BranchKind.INDIRECT:
-            resolution = self._observe_indirect(inst, actual_target)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unhandled branch kind {kind}")
-        outcome = resolution.outcome
-        if outcome is PredictionOutcome.MISPREDICT:
+            outcome = self._observe_indirect(inst, actual_target)
+        else:
+            raise ValueError(f"instruction at {inst.address:#x} is not a branch")
+        if outcome is _MISPREDICT:
             self.mispredicts += 1
-            return 2
-        if outcome is PredictionOutcome.DECODE_RESTEER:
+        elif outcome is _DECODE_RESTEER:
             self.decode_resteers += 1
-            return 1
-        return 0
+        return outcome
 
-    def _observe_conditional(self, inst: X86Instruction, taken: bool,
-                             actual_target: int) -> BranchResolution:
-        predicted_taken = self.tage.predict(inst.address)
-        self.tage.update(inst.address, taken)
-        if predicted_taken != taken:
-            if taken:
-                self.btb.install(inst.address, actual_target, inst.branch_kind)
-            return BranchResolution(
-                PredictionOutcome.MISPREDICT, predicted_taken, taken)
-        if taken:
-            btb_outcome, record = self.btb.lookup(inst.address)
-            self.btb.install(inst.address, actual_target, inst.branch_kind)
-            if btb_outcome is BtbOutcome.MISS or record is None:
-                return BranchResolution(
-                    PredictionOutcome.DECODE_RESTEER, predicted_taken, taken)
-            if record.target != actual_target:
-                return BranchResolution(
-                    PredictionOutcome.MISPREDICT, predicted_taken, taken)
-        return BranchResolution(PredictionOutcome.CORRECT, predicted_taken, taken)
+    # Old name, kept only because perfbench/tracer.py wraps it by name and
+    # warns when it is missing; ROADMAP item 2 drops it.
+    observe_fast = observe
 
     def _observe_direct(self, inst: X86Instruction,
-                        actual_target: int) -> BranchResolution:
+                        actual_target: int) -> PredictionOutcome:
         btb_outcome, record = self.btb.lookup(inst.address)
         self.btb.install(inst.address, actual_target, inst.branch_kind)
         if btb_outcome is BtbOutcome.MISS or record is None:
-            return BranchResolution(PredictionOutcome.DECODE_RESTEER, True, True)
-        return BranchResolution(PredictionOutcome.CORRECT, True, True)
+            return _DECODE_RESTEER
+        return _CORRECT
 
-    def _observe_return(self, inst: X86Instruction,
-                        actual_target: int) -> BranchResolution:
+    def _observe_return(self, actual_target: int) -> PredictionOutcome:
         predicted = self.ras.pop()
         if predicted is None or predicted != actual_target:
-            return BranchResolution(PredictionOutcome.MISPREDICT, True, True)
-        return BranchResolution(PredictionOutcome.CORRECT, True, True)
+            return _MISPREDICT
+        return _CORRECT
 
     def _observe_indirect(self, inst: X86Instruction,
-                          actual_target: int) -> BranchResolution:
+                          actual_target: int) -> PredictionOutcome:
         btb_outcome, record = self.btb.lookup(inst.address)
         self.btb.update_target(inst.address, actual_target, inst.branch_kind)
         if btb_outcome is BtbOutcome.MISS or record is None or \
                 record.target != actual_target:
-            return BranchResolution(PredictionOutcome.MISPREDICT, True, True)
-        return BranchResolution(PredictionOutcome.CORRECT, True, True)
+            return _MISPREDICT
+        return _CORRECT
 
     def _train_only(self, inst: X86Instruction, taken: bool,
                     actual_target: int) -> None:

@@ -31,9 +31,8 @@ class MemoryHierarchy:
         self.stats = StatGroup("hierarchy")
         self._i_prefetches = self.stats.counter("icache_prefetches")
         self._i_prefetch_hits = self.stats.counter("icache_prefetch_line_hits")
-        self._line_bytes = cfg.l1i.line_bytes
-        # Recency lists for the fast paths' inlined LRU-hit update (None when
-        # an L1 runs a non-LRU policy; the fast paths then call on_hit).
+        # Recency lists for the inlined LRU-hit update (None when an L1 runs
+        # a non-LRU policy; the access paths then call on_hit).
         self._l1i_lru = self.l1i._policy._order \
             if isinstance(self.l1i._policy, TrueLru) else None
         self._l1d_lru = self.l1d._policy._order \
@@ -43,76 +42,14 @@ class MemoryHierarchy:
 
     def fetch_instruction_line(self, address: int) -> int:
         """Access the I-side for the line containing ``address``; returns
-        latency in cycles and fills all levels on the way down."""
-        latency = self._access(address, self.l1i)
-        if self.config.icache_prefetch:
-            self._prefetch_next_line(address)
-        return latency
+        latency in cycles and fills all levels on the way down.
 
-    def _prefetch_next_line(self, address: int) -> None:
-        next_line = (address // self._line_bytes + 1) * self._line_bytes
-        if not self.l1i.contains(next_line):
-            self._i_prefetches.increment()
-            # Prefetch pulls the line in through the hierarchy; its latency is
-            # off the critical path, so we model only the state change.
-            self._fill_all(next_line, self.l1i)
-        else:
-            self._i_prefetch_hits.increment()
-
-    # -- data side ------------------------------------------------------------
-
-    def access_data(self, address: int, is_store: bool = False) -> int:
-        """Load/store latency (stores complete post-retirement; we return the
-        lookup latency for completeness).  A next-line stream prefetcher runs
-        on L1-D misses (Table I: every data level employs prefetchers)."""
-        latency = self._access(address, self.l1d)
-        # Stream prefetch: keep the next line resident on every access so a
-        # forward-striding stream never exposes its compulsory misses (real
-        # stride prefetchers run several lines ahead; latency is off the
-        # critical path, so only the state change is modeled).
-        next_line = (address // self.config.l1d.line_bytes + 1) * \
-            self.config.l1d.line_bytes
-        if not self.l1d.contains(next_line):
-            self._fill_all(next_line, self.l1d)
-        return latency
-
-    # -- fast variants (counters-only serve loop) ----------------------------
-
-    def access_data_fast(self, address: int) -> int:
-        """Counters-only :meth:`access_data`: the dominant L1-D-hit case is
-        inlined (index/tag arithmetic, membership test, direct counter
-        bumps); misses fall through to the shared :meth:`_miss_latency`
-        machinery, so every counter and every replacement/fill state change
-        is identical to the normal path."""
-        l1d = self.l1d
-        line = address >> l1d._line_shift
-        set_index = line & l1d._set_mask
-        tag = line >> l1d._set_shift
-        ways = l1d._tags[set_index]
-        try:
-            way = ways.index(tag)
-        except ValueError:
-            l1d._misses.value += 1
-            latency = self._miss_latency(address, l1d)
-        else:
-            lru = self._l1d_lru
-            if lru is not None:
-                order = lru[set_index]
-                order.remove(way)
-                order.append(way)
-            else:  # pragma: no cover - non-LRU L1-D configuration
-                l1d._policy.on_hit(set_index, way)
-            l1d._hits.value += 1
-            latency = l1d.config.hit_latency_cycles
-        next_line = line + 1
-        if (next_line >> l1d._set_shift) not in \
-                l1d._tags[next_line & l1d._set_mask]:
-            self._fill_all(next_line << l1d._line_shift, l1d)
-        return latency
-
-    def fetch_instruction_line_fast(self, address: int) -> int:
-        """Counters-only :meth:`fetch_instruction_line` (same contract as
-        :meth:`access_data_fast`)."""
+        The dominant L1-I-hit case is inlined (index/tag arithmetic,
+        membership test, direct counter bumps); misses go through
+        :meth:`_miss_latency`.  With ``icache_prefetch`` the next line is
+        prefetched; its latency is off the critical path, so only the state
+        change is modeled.
+        """
         l1i = self.l1i
         line = address >> l1i._line_shift
         set_index = line & l1i._set_mask
@@ -143,12 +80,46 @@ class MemoryHierarchy:
                 self._fill_all(next_line << l1i._line_shift, l1i)
         return latency
 
-    # -- shared machinery -------------------------------------------------------
+    # -- data side ------------------------------------------------------------
 
-    def _access(self, address: int, l1: SetAssociativeCache) -> int:
-        if l1.lookup(address):
-            return l1.config.hit_latency_cycles
-        return self._miss_latency(address, l1)
+    def access_data(self, address: int) -> int:
+        """Load latency in cycles (the same :meth:`fetch_instruction_line`
+        hit/miss structure on the L1-D).  A next-line stream prefetcher
+        keeps the following line resident on every access (Table I: every
+        data level employs prefetchers), so a forward-striding stream never
+        exposes its compulsory misses; only its state change is modeled."""
+        l1d = self.l1d
+        line = address >> l1d._line_shift
+        set_index = line & l1d._set_mask
+        tag = line >> l1d._set_shift
+        ways = l1d._tags[set_index]
+        try:
+            way = ways.index(tag)
+        except ValueError:
+            l1d._misses.value += 1
+            latency = self._miss_latency(address, l1d)
+        else:
+            lru = self._l1d_lru
+            if lru is not None:
+                order = lru[set_index]
+                order.remove(way)
+                order.append(way)
+            else:  # pragma: no cover - non-LRU L1-D configuration
+                l1d._policy.on_hit(set_index, way)
+            l1d._hits.value += 1
+            latency = l1d.config.hit_latency_cycles
+        next_line = line + 1
+        if (next_line >> l1d._set_shift) not in \
+                l1d._tags[next_line & l1d._set_mask]:
+            self._fill_all(next_line << l1d._line_shift, l1d)
+        return latency
+
+    # Old names, kept only because perfbench/tracer.py wraps them by name
+    # and warns when one is missing; ROADMAP item 2 drops them.
+    fetch_instruction_line_fast = fetch_instruction_line
+    access_data_fast = access_data
+
+    # -- shared machinery -------------------------------------------------------
 
     def _miss_latency(self, address: int, l1: SetAssociativeCache) -> int:
         """Latency and fills below a missing L1 (L1 miss already counted)."""

@@ -2,21 +2,24 @@
 
 A specialization of :meth:`Simulator.steps` that produces a bit-identical
 :class:`~repro.core.metrics.SimulationResult` while stripping everything the
-counters don't need:
+counters don't need.  Both loops call the same front-end methods:
+:meth:`UopCache.lookup` (its telemetry behind one ``is not None`` guard),
+:meth:`BranchPredictionUnit.observe` (the fused TAGE walk serves
+conditional branches in either loop),
+:meth:`MemoryHierarchy.fetch_instruction_line` and
+:meth:`MemoryHierarchy.access_data`.  What stays specific to this loop:
 
 - **no telemetry** — the ``tel is not None`` tests and per-action event
   bookkeeping disappear entirely (fast mode refuses a telemetry hub at the
   config layer);
 - **no per-uop object churn** — the back-end admits whole instructions via
   :meth:`OutOfOrderBackend.admit_inst`, skipping one frozen ``UopTiming``
-  dataclass per uop;
+  dataclass per uop (the one batched twin left: the stepped loop still
+  calls :meth:`OutOfOrderBackend.admit` per uop);
 - **precomputed trace views** — per-record PCs, memory addresses, resolved
   taken flags, uop tuples and static execution latencies are materialized
   into flat lists up front, replacing per-action ``program.at`` /
   ``uops_at`` / property dispatch;
-- **fused TAGE** — conditional branches go through
-  :meth:`TagePredictor.observe` (one index/tag walk instead of three) with
-  per-PC cached static hash terms;
 - **hoisted state** — hot counters live in locals for the whole run and are
   written back to the simulator at the few points that can observe them
   (warmup snapshot, strict invariant hooks, the loop-cache path, the end of
@@ -229,14 +232,14 @@ class FastPath:
         span_tails = view.span_tail_pcs
 
         # Prebound methods.
-        lookup_fast = oc.lookup_fast
+        oc_lookup = oc.lookup
         oc_fill = oc.fill
         admit_inst = backend.admit_inst
-        observe_fast = bpu.observe_fast
+        observe_branch = bpu.observe
         acc_flush = accumulator.flush
         acc_push = accumulator.push
         acc_begin = accumulator.begin
-        fetch_line = hierarchy.fetch_instruction_line_fast
+        fetch_line = hierarchy.fetch_instruction_line
         record_burst = decoder_power.record_decode_burst
         observe_fetch = sim._observe_fetch_action
         observe_taken = loop_cache.observe_taken_branch
@@ -331,7 +334,7 @@ class FastPath:
                     observe_fetch(fe_cycle)
                 continue
 
-            entry = lookup_fast(pc)
+            entry = oc_lookup(pc)
             if entry is not None:
                 # ------------------------------------------- uop cache path
                 for sealed in acc_flush():
@@ -354,8 +357,8 @@ class FastPath:
                     cursor += 1
                     taken = takens[idx]
                     if is_branch[idx]:
-                        outcome = observe_fast(insts[idx], taken,
-                                               next_pcs[idx])
+                        outcome = observe_branch(insts[idx], taken,
+                                                 next_pcs[idx])
                         if outcome == 2:
                             mispredicts += 1
                             delta = complete - pw_fetch_cycle
@@ -411,8 +414,8 @@ class FastPath:
                         oc_fill(sealed)
                         pw_entry_count += 1
                     if is_branch[idx]:
-                        outcome = observe_fast(insts[idx], taken,
-                                               next_pcs[idx])
+                        outcome = observe_branch(insts[idx], taken,
+                                                 next_pcs[idx])
                         if outcome == 2:
                             mispredicts += 1
                             delta = complete - pw_fetch_cycle

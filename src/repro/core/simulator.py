@@ -465,7 +465,7 @@ class Simulator:
             taken = record.next_pc != inst.end_address
             if inst.is_branch:
                 outcome = self.bpu.observe(inst, taken, record.next_pc)
-                if outcome.outcome is PredictionOutcome.MISPREDICT:
+                if outcome is PredictionOutcome.MISPREDICT:
                     resolve = timing.complete if timing else arrival
                     self._mispredicts += 1
                     self._mispredict_latency_sum += max(
@@ -523,7 +523,7 @@ class Simulator:
             taken = record.next_pc != inst.end_address
             if inst.is_branch:
                 outcome = self.bpu.observe(inst, taken, record.next_pc)
-                if outcome.outcome is PredictionOutcome.MISPREDICT:
+                if outcome is PredictionOutcome.MISPREDICT:
                     resolve = timing.complete if timing else arrival
                     self._mispredicts += 1
                     self._mispredict_latency_sum += max(
@@ -531,7 +531,7 @@ class Simulator:
                     redirect = resolve + MISPREDICT_REDIRECT_PENALTY
                     self._seq_run_uops = 0
                     break
-                if outcome.outcome is PredictionOutcome.DECODE_RESTEER:
+                if outcome is PredictionOutcome.DECODE_RESTEER:
                     redirect = fe_cycle + 1 + DECODE_RESTEER_PENALTY
                     if taken:
                         note_taken(pc, record.next_pc)
@@ -603,7 +603,7 @@ class Simulator:
 
             if inst.is_branch:
                 outcome = self.bpu.observe(inst, taken, record.next_pc)
-                if outcome.outcome is PredictionOutcome.MISPREDICT:
+                if outcome is PredictionOutcome.MISPREDICT:
                     resolve = timing.complete if timing else arrival
                     self._mispredicts += 1
                     self._mispredict_latency_sum += max(
@@ -611,7 +611,7 @@ class Simulator:
                     redirect = resolve + MISPREDICT_REDIRECT_PENALTY
                     self._seq_run_uops = 0
                     break
-                if outcome.outcome is PredictionOutcome.DECODE_RESTEER:
+                if outcome is PredictionOutcome.DECODE_RESTEER:
                     redirect = (fe_cycle + fetch_latency +
                                 slot // decode_bw + DECODE_RESTEER_PENALTY)
                     if taken:

@@ -24,7 +24,7 @@ from ..common.errors import OracleError
 from ..workloads.trace import Trace
 from .reference import ReferenceAccumulator, ReferenceUopCache
 
-#: Per-record outcome labels the runner feeds us (PredictionOutcome values
+#: Per-record outcome labels the runner feeds us (one per PredictionOutcome
 #: plus "none" for non-branch records).
 OUTCOME_NONE = "none"
 OUTCOME_CORRECT = "correct"

@@ -35,7 +35,8 @@ from ..core.simulator import Simulator
 from ..telemetry.hub import TelemetryHub
 from ..telemetry.sinks import RingBufferSink
 from ..workloads.trace import Trace
-from .frontend import OUTCOME_NONE, ReferenceFrontEnd
+from .frontend import (OUTCOME_CORRECT, OUTCOME_MISPREDICT, OUTCOME_NONE,
+                       OUTCOME_RESTEER, ReferenceFrontEnd)
 
 _END = object()     # sentinel: a model's step stream is exhausted
 
@@ -103,6 +104,10 @@ class DiffReport:
         return self.divergence is None
 
 
+#: Oracle label of each :class:`PredictionOutcome`, indexed by its value.
+_OUTCOME_LABELS = (OUTCOME_CORRECT, OUTCOME_RESTEER, OUTCOME_MISPREDICT)
+
+
 def resolve_branch_outcomes(trace: Trace, config: SimulatorConfig,
                             limit: Optional[int] = None) -> List[str]:
     """Per-record branch outcome labels from one deterministic BPU pass."""
@@ -115,8 +120,8 @@ def resolve_branch_outcomes(trace: Trace, config: SimulatorConfig,
             outcomes.append(OUTCOME_NONE)
             continue
         taken = record.next_pc != inst.end_address
-        resolution = bpu.observe(inst, taken, record.next_pc)
-        outcomes.append(resolution.outcome.value)
+        outcomes.append(
+            _OUTCOME_LABELS[bpu.observe(inst, taken, record.next_pc)])
     return outcomes
 
 

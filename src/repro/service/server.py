@@ -267,15 +267,15 @@ class ServiceServer:
 
     async def _respond(self, reader: asyncio.StreamReader
                        ) -> Tuple[int, Dict[str, Any]]:
-        request_line = (await reader.readline()).decode("ascii",
-                                                        errors="replace")
+        request_line = (await _read_line(reader)).decode("ascii",
+                                                         errors="replace")
         parts = request_line.split()
         if len(parts) != 3:
             raise ProtocolError(f"malformed request line {request_line!r}")
         method, target = parts[0].upper(), parts[1]
         content_length = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("ascii", errors="replace") \
@@ -285,10 +285,16 @@ class ServiceServer:
                     content_length = int(value.strip())
                 except ValueError as error:
                     raise ProtocolError("bad Content-Length") from error
+                if content_length < 0:
+                    raise ProtocolError("bad Content-Length")
         if content_length > MAX_BODY_BYTES:
             return 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
-        body = await reader.readexactly(content_length) \
-            if content_length else b""
+        try:
+            body = await reader.readexactly(content_length)
+        except asyncio.IncompleteReadError as error:
+            raise ProtocolError(
+                f"body ended after {len(error.partial)} of "
+                f"{content_length} bytes") from error
         return await self._route(method, target, body)
 
     async def _route(self, method: str, target: str, body: bytes
@@ -340,6 +346,17 @@ class ServiceServer:
         return [{"key": spec.key,
                  "cached": self.service.lookup(spec) is not None}
                 for spec in specs]
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line.  A line longer than the stream's buffer
+    limit (64 KiB by default) makes ``readline`` raise ``ValueError``; that
+    is the client's error, so it becomes a 400."""
+    try:
+        return await reader.readline()
+    except ValueError as error:
+        raise ProtocolError(
+            f"request or header line too long: {error}") from error
 
 
 def _parse_jobs(body: bytes, default_engine: str = "synthetic",

@@ -118,46 +118,36 @@ class UopCache:
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, pc: int) -> Optional[UopCacheEntry]:
-        """Probe with a PW (or continuation) start address."""
-        set_index = self.set_index(pc)
-        way = self._index[set_index].get(pc)
-        if way is None:
-            self._misses.increment()
-            if self._telemetry is not None:
-                self._telemetry.emit(EventKind.OC_MISS, pc=pc)
-            return None
-        line = self._sets[set_index][way]
-        for entry in line.entries:
-            if entry.start_pc == pc:
-                self._lru.on_hit(set_index, way)
-                self._hits.increment()
-                self._uops_delivered.increment(entry.num_uops)
-                if self._telemetry is not None:
-                    self._telemetry.emit(EventKind.OC_HIT, pc=pc,
-                                         uops=entry.num_uops)
-                return entry
-        raise CacheError(f"index desync at pc {pc:#x}")  # pragma: no cover
+        """Probe with a PW (or continuation) start address.
 
-    def lookup_fast(self, pc: int) -> Optional[UopCacheEntry]:
-        """Counters-only :meth:`lookup`: identical architectural effects
-        (hit/miss counters, uops-delivered, LRU promotion) without the
-        telemetry branches or counter-method dispatch.  Only valid when no
-        telemetry hub is attached (the fast serve loop's contract)."""
+        Both serve loops probe once per fetch action, so the body is
+        inlined: set-index arithmetic, direct counter bumps and the
+        ``TrueLru.on_hit`` reorder (``self._lru`` is always a ``TrueLru``).
+        Telemetry costs one ``is not None`` test when no hub is attached.
+        """
         set_index = (pc // self.icache_line_bytes) % self.config.num_sets
         way = self._index[set_index].get(pc)
         if way is None:
             self._misses.value += 1
+            if self._telemetry is not None:
+                self._telemetry.emit(EventKind.OC_MISS, pc=pc)
             return None
         for entry in self._sets[set_index][way].entries:
             if entry.start_pc == pc:
-                # TrueLru.on_hit inlined (self._lru is always TrueLru).
                 order = self._lru._order[set_index]
                 order.remove(way)
                 order.append(way)
+                uops = len(entry.uops)
                 self._hits.value += 1
-                self._uops_delivered.value += len(entry.uops)
+                self._uops_delivered.value += uops
+                if self._telemetry is not None:
+                    self._telemetry.emit(EventKind.OC_HIT, pc=pc, uops=uops)
                 return entry
         raise CacheError(f"index desync at pc {pc:#x}")  # pragma: no cover
+
+    # Old name, kept only because perfbench/tracer.py wraps it by name and
+    # warns when it is missing; ROADMAP item 2 drops it.
+    lookup_fast = lookup
 
     def probe(self, pc: int) -> bool:
         """Presence check without stats or replacement update."""

@@ -17,7 +17,6 @@ from .generator import (
     generate_workload,
 )
 from .program import BasicBlock, Function, Program
-from .serialization import load_trace, load_workload, save_trace, save_workload
 from .suite import (
     PAPER_BRANCH_MPKI,
     SUITE_GROUPS,
@@ -56,11 +55,7 @@ __all__ = [
     "generate_workload",
     "get_profile",
     "get_workload",
-    "load_trace",
-    "load_workload",
     "pack_trace",
-    "save_trace",
-    "save_workload",
     "trace_info",
     "unpack_trace",
 ]

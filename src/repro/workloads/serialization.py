@@ -1,24 +1,14 @@
-"""Workload and trace (de)serialization.
+"""The program-image dict codec.
 
-Traces are expensive to generate and experiments want bit-identical inputs
-across machines and sessions, so both the static program image (with its
-branch behaviours) and dynamic traces can be saved to gzipped JSON:
-
-- :func:`save_workload` / :func:`load_workload` — the program image and
-  behaviours (the equivalent of shipping a binary);
-- :func:`save_trace` / :func:`load_trace` — a resolved dynamic trace bound
-  to its program (the equivalent of shipping a SimNow trace).
-
-The format is versioned; loading a file written by an incompatible version
-raises :class:`~repro.common.errors.WorkloadError`.
+:func:`_workload_to_dict` turns a program image and its branch behaviours
+into plain JSON-able dicts, and :func:`_workload_from_dict` turns them back.
+The ``.uoptrace`` format (:mod:`repro.workloads.tracefile`) stores this
+shape, as canonical JSON, in its PROG section.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
-from pathlib import Path
-from typing import Dict, Union
+from typing import Dict
 
 from ..common.errors import WorkloadError
 from ..isa.instruction import BranchKind, InstClass, X86Instruction
@@ -30,11 +20,6 @@ from .generator import (
     WorkloadProfile,
 )
 from .program import BasicBlock, Function, Program
-from .trace import DynamicInst, Trace
-
-FORMAT_VERSION = 1
-
-PathLike = Union[str, Path]
 
 
 def _inst_to_dict(inst: X86Instruction) -> Dict:
@@ -117,77 +102,3 @@ def _workload_from_dict(data: Dict) -> Workload:
                  for pc, b in data["behaviors"].items()}
     profile = WorkloadProfile(name=data["profile_name"])
     return Workload(profile=profile, program=program, behaviors=behaviors)
-
-
-def _write(path: PathLike, payload: Dict) -> None:
-    payload["version"] = FORMAT_VERSION
-    with gzip.open(Path(path), "wt", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"))
-
-
-def _read(path: PathLike, expected_kind: str) -> Dict:
-    path = Path(path)
-    if not path.exists():
-        raise WorkloadError(f"no such file: {path}")
-    try:
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        raise WorkloadError(f"cannot read {path}: {error}") from error
-    if payload.get("version") != FORMAT_VERSION:
-        raise WorkloadError(
-            f"{path}: format version {payload.get('version')} "
-            f"(expected {FORMAT_VERSION})")
-    if payload.get("kind") != expected_kind:
-        raise WorkloadError(
-            f"{path}: contains a {payload.get('kind')!r}, "
-            f"expected {expected_kind!r}")
-    return payload
-
-
-def save_workload(workload: Workload, path: PathLike) -> None:
-    """Write a program image + behaviours to a gzipped JSON file."""
-    _write(path, {"kind": "workload",
-                  "workload": _workload_to_dict(workload)})
-
-
-def load_workload(path: PathLike) -> Workload:
-    """Load a program image + behaviours.
-
-    The profile on the loaded workload carries only the original name (the
-    generation parameters are not needed to replay: the image is final).
-    """
-    payload = _read(path, "workload")
-    return _workload_from_dict(payload["workload"])
-
-
-def save_trace(trace: Trace, path: PathLike) -> None:
-    """Write a resolved trace (with its program image) to a file."""
-    records = trace.records
-    _write(path, {
-        "kind": "trace",
-        "name": trace.name,
-        "workload": _workload_to_dict(
-            Workload(profile=WorkloadProfile(name=trace.name),
-                     program=trace.program, behaviors={})),
-        "pcs": [record.pc for record in records],
-        "next_pcs": [record.next_pc for record in records],
-        "mems": [-1 if record.mem_addr is None else record.mem_addr
-                 for record in records],
-    })
-
-
-def load_trace(path: PathLike) -> Trace:
-    """Load a trace previously written by :func:`save_trace`."""
-    payload = _read(path, "trace")
-    workload = _workload_from_dict(payload["workload"])
-    pcs = payload["pcs"]
-    next_pcs = payload["next_pcs"]
-    mems = payload["mems"]
-    if not (len(pcs) == len(next_pcs) == len(mems)):
-        raise WorkloadError("corrupt trace: column lengths differ")
-    records = [
-        DynamicInst(pc=pc, next_pc=next_pc,
-                    mem_addr=None if mem < 0 else mem)
-        for pc, next_pc, mem in zip(pcs, next_pcs, mems)]
-    return Trace(workload.program, records, name=payload["name"])

@@ -1,11 +1,10 @@
 """Compact, versioned, CRC-enveloped on-disk trace format (``.uoptrace``).
 
-The gzipped-JSON format in :mod:`repro.workloads.serialization` is
-convenient but bulky and silently tolerant: a flipped bit inside a number
-still parses.  This module defines the *packed* trace format that
+This is the one trace file format: the format that
 :class:`~repro.workloads.engine.TraceReplayEngine` replays — small enough
 to commit, and paranoid enough that every corruption is a loud,
-descriptive :class:`~repro.common.errors.WorkloadError`.
+descriptive :class:`~repro.common.errors.WorkloadError` (plain JSON would
+silently parse a flipped bit inside a number).
 
 Layout (all multi-byte integers little-endian)::
 
@@ -25,8 +24,9 @@ Sections, in file order:
   seeds and instruction count that produced the trace) so ``repro
   trace-info`` can say where a file came from.
 - **PROG** — the program image + branch behaviours as zlib-compressed
-  canonical JSON (the same dict shape ``serialization.save_workload``
-  writes), because replay must decode every PC the records visit.
+  canonical JSON (the dict shape of
+  :mod:`repro.workloads.serialization`), because replay must decode every
+  PC the records visit.
 - **RECS** — the dynamic records, delta-encoded.  Consecutive records obey
   ``pc[i+1] == next_pc[i]`` (a validated trace invariant), so only the
   first PC is stored absolutely; each record then contributes one zigzag

@@ -165,5 +165,6 @@ def test_golden_files_have_no_strays():
     expected |= {_engine_golden_path("bm-x64", d, e).name
                  for e, d, _ in ENGINE_GOLDEN_RUNS}
     expected.add("program_images.json")     # tests/test_program_images.py
+    expected.add("stepped_runs.json")       # tests/test_stepped_runs.py
     present = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert present == expected

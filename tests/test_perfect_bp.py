@@ -34,7 +34,7 @@ class TestPerfectUnit:
                              branch_kind=BranchKind.RET)
         # Cold return with empty RAS would normally mispredict.
         outcome = bpu.observe(ret, True, 0x9999)
-        assert outcome.outcome is PredictionOutcome.CORRECT
+        assert outcome is PredictionOutcome.CORRECT
         assert bpu.mispredicts == 0
 
     def test_still_counts_branches(self):

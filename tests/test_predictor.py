@@ -25,7 +25,7 @@ class TestConditional:
         for _ in range(20):
             bpu.observe(inst, True, 0x2000)
         outcome = bpu.observe(inst, True, 0x2000)
-        assert outcome.outcome is PredictionOutcome.CORRECT
+        assert outcome is PredictionOutcome.CORRECT
 
     def test_direction_flip_mispredicts(self):
         bpu = BranchPredictionUnit()
@@ -33,7 +33,7 @@ class TestConditional:
         for _ in range(20):
             bpu.observe(inst, True, 0x2000)
         outcome = bpu.observe(inst, False, inst.end_address)
-        assert outcome.outcome is PredictionOutcome.MISPREDICT
+        assert outcome is PredictionOutcome.MISPREDICT
 
     def test_first_taken_needs_btb(self):
         """A correctly-predicted-taken branch with a cold BTB resteers."""
@@ -44,7 +44,7 @@ class TestConditional:
             bpu.observe(inst, True, 0x2000)
         # By now the BTB knows the target.
         outcome = bpu.observe(inst, True, 0x2000)
-        assert outcome.outcome is PredictionOutcome.CORRECT
+        assert outcome is PredictionOutcome.CORRECT
 
 
 class TestDirect:
@@ -52,14 +52,14 @@ class TestDirect:
         bpu = BranchPredictionUnit()
         inst = branch(0x1000, BranchKind.UNCONDITIONAL, 0x4000)
         outcome = bpu.observe(inst, True, 0x4000)
-        assert outcome.outcome is PredictionOutcome.DECODE_RESTEER
+        assert outcome is PredictionOutcome.DECODE_RESTEER
 
     def test_warm_jump_correct(self):
         bpu = BranchPredictionUnit()
         inst = branch(0x1000, BranchKind.UNCONDITIONAL, 0x4000)
         bpu.observe(inst, True, 0x4000)
         outcome = bpu.observe(inst, True, 0x4000)
-        assert outcome.outcome is PredictionOutcome.CORRECT
+        assert outcome is PredictionOutcome.CORRECT
 
 
 class TestCallReturn:
@@ -69,7 +69,7 @@ class TestCallReturn:
         ret = branch(0x4010, BranchKind.RET)
         bpu.observe(call, True, 0x4000)
         outcome = bpu.observe(ret, True, call.end_address)
-        assert outcome.outcome is PredictionOutcome.CORRECT
+        assert outcome is PredictionOutcome.CORRECT
 
     def test_return_to_wrong_place_mispredicts(self):
         bpu = BranchPredictionUnit()
@@ -77,13 +77,13 @@ class TestCallReturn:
         ret = branch(0x4010, BranchKind.RET)
         bpu.observe(call, True, 0x4000)
         outcome = bpu.observe(ret, True, 0x9999)
-        assert outcome.outcome is PredictionOutcome.MISPREDICT
+        assert outcome is PredictionOutcome.MISPREDICT
 
     def test_empty_ras_mispredicts(self):
         bpu = BranchPredictionUnit()
         ret = branch(0x4010, BranchKind.RET)
         outcome = bpu.observe(ret, True, 0x1005)
-        assert outcome.outcome is PredictionOutcome.MISPREDICT
+        assert outcome is PredictionOutcome.MISPREDICT
 
     def test_nested_calls(self):
         bpu = BranchPredictionUnit()
@@ -93,9 +93,9 @@ class TestCallReturn:
         ret1 = branch(0x4010, BranchKind.RET)
         bpu.observe(call1, True, 0x4000)
         bpu.observe(call2, True, 0x5000)
-        assert bpu.observe(ret2, True, call2.end_address).outcome is \
+        assert bpu.observe(ret2, True, call2.end_address) is \
             PredictionOutcome.CORRECT
-        assert bpu.observe(ret1, True, call1.end_address).outcome is \
+        assert bpu.observe(ret1, True, call1.end_address) is \
             PredictionOutcome.CORRECT
 
     def test_indirect_call_pushes_ras(self):
@@ -104,7 +104,7 @@ class TestCallReturn:
         ret = branch(0x4010, BranchKind.RET)
         bpu.observe(icall, True, 0x4000)
         outcome = bpu.observe(ret, True, icall.end_address)
-        assert outcome.outcome is PredictionOutcome.CORRECT
+        assert outcome is PredictionOutcome.CORRECT
 
 
 class TestIndirect:
@@ -112,22 +112,22 @@ class TestIndirect:
         bpu = BranchPredictionUnit()
         inst = branch(0x1000, BranchKind.INDIRECT)
         outcome = bpu.observe(inst, True, 0x7000)
-        assert outcome.outcome is PredictionOutcome.MISPREDICT
+        assert outcome is PredictionOutcome.MISPREDICT
 
     def test_stable_indirect_correct(self):
         bpu = BranchPredictionUnit()
         inst = branch(0x1000, BranchKind.INDIRECT)
         bpu.observe(inst, True, 0x7000)
         outcome = bpu.observe(inst, True, 0x7000)
-        assert outcome.outcome is PredictionOutcome.CORRECT
+        assert outcome is PredictionOutcome.CORRECT
 
     def test_target_switch_mispredicts_once(self):
         bpu = BranchPredictionUnit()
         inst = branch(0x1000, BranchKind.INDIRECT)
         bpu.observe(inst, True, 0x7000)
-        assert bpu.observe(inst, True, 0x8000).outcome is \
+        assert bpu.observe(inst, True, 0x8000) is \
             PredictionOutcome.MISPREDICT
-        assert bpu.observe(inst, True, 0x8000).outcome is \
+        assert bpu.observe(inst, True, 0x8000) is \
             PredictionOutcome.CORRECT
 
 

@@ -1,20 +1,20 @@
-"""Tests for workload/trace serialization."""
+"""Tests for the program-image dict codec.
 
-import gzip
+The ``.uoptrace`` PROG section stores this codec's dicts as canonical JSON
+(tests/test_tracefile.py covers the file format around it), so each round
+trip here goes through that same JSON text.
+"""
+
 import json
 
 import pytest
 
-from repro.common.config import baseline_config
 from repro.common.errors import WorkloadError
-from repro.core.simulator import simulate
+from repro.common.integrity import canonical_json
 from repro.workloads.generator import WorkloadProfile, generate_workload
 from repro.workloads.serialization import (
-    FORMAT_VERSION,
-    load_trace,
-    load_workload,
-    save_trace,
-    save_workload,
+    _workload_from_dict,
+    _workload_to_dict,
 )
 
 PROFILE = WorkloadProfile(name="ser-test", num_functions=10,
@@ -26,16 +26,14 @@ def workload():
     return generate_workload(PROFILE, seed=11)
 
 
-@pytest.fixture(scope="module")
-def trace(workload):
-    return workload.trace(3000, seed=12)
+def _round_trip(workload):
+    return _workload_from_dict(
+        json.loads(canonical_json(_workload_to_dict(workload))))
 
 
 class TestWorkloadRoundtrip:
-    def test_program_identical(self, workload, tmp_path):
-        path = tmp_path / "w.json.gz"
-        save_workload(workload, path)
-        loaded = load_workload(path)
+    def test_program_identical(self, workload):
+        loaded = _round_trip(workload)
         assert loaded.program.num_instructions == \
             workload.program.num_instructions
         assert loaded.program.entry == workload.program.entry
@@ -43,73 +41,21 @@ class TestWorkloadRoundtrip:
         for inst in loaded.program.instructions():
             assert original[inst.address] == inst
 
-    def test_behaviors_roundtrip(self, workload, tmp_path):
-        path = tmp_path / "w.json.gz"
-        save_workload(workload, path)
-        loaded = load_workload(path)
-        assert set(loaded.behaviors) == set(workload.behaviors)
-        for pc, behavior in workload.behaviors.items():
-            assert type(loaded.behaviors[pc]) is type(behavior)
+    def test_behaviors_roundtrip(self, workload):
+        loaded = _round_trip(workload)
+        assert loaded.behaviors == workload.behaviors
 
-    def test_loaded_workload_walks(self, workload, tmp_path):
-        path = tmp_path / "w.json.gz"
-        save_workload(workload, path)
-        loaded = load_workload(path)
-        loaded.trace(500, seed=1).validate()
-
-
-class TestTraceRoundtrip:
-    def test_records_identical(self, trace, tmp_path):
-        path = tmp_path / "t.json.gz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert len(loaded) == len(trace)
-        assert loaded.name == trace.name
-        for original, restored in zip(trace, loaded):
-            assert original.pc == restored.pc
-            assert original.next_pc == restored.next_pc
-            assert original.mem_addr == restored.mem_addr
-
-    def test_loaded_trace_validates(self, trace, tmp_path):
-        path = tmp_path / "t.json.gz"
-        save_trace(trace, path)
-        load_trace(path).validate()
-
-    def test_simulation_identical_after_roundtrip(self, trace, tmp_path):
-        path = tmp_path / "t.json.gz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        a = simulate(trace, baseline_config(2048), "x")
-        b = simulate(loaded, baseline_config(2048), "x")
-        assert a.cycles == b.cycles
-        assert a.uops == b.uops
-        assert a.branch_mispredicts == b.branch_mispredicts
+    def test_loaded_workload_walks(self, workload):
+        loaded = _round_trip(workload)
+        walk = loaded.trace(500, seed=1)
+        walk.validate()
+        assert walk.records == workload.trace(500, seed=1).records
 
 
 class TestErrors:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(WorkloadError):
-            load_trace(tmp_path / "missing.json.gz")
-
-    def test_wrong_kind(self, workload, trace, tmp_path):
-        path = tmp_path / "w.json.gz"
-        save_workload(workload, path)
-        with pytest.raises(WorkloadError):
-            load_trace(path)
-
-    def test_wrong_version(self, trace, tmp_path):
-        path = tmp_path / "t.json.gz"
-        save_trace(trace, path)
-        with gzip.open(path, "rt") as handle:
-            payload = json.load(handle)
-        payload["version"] = FORMAT_VERSION + 1
-        with gzip.open(path, "wt") as handle:
-            json.dump(payload, handle)
-        with pytest.raises(WorkloadError):
-            load_trace(path)
-
-    def test_not_gzip(self, tmp_path):
-        path = tmp_path / "bad.json.gz"
-        path.write_text("not gzip")
-        with pytest.raises(WorkloadError):
-            load_trace(path)
+    def test_wrong_kind(self, workload):
+        data = _workload_to_dict(workload)
+        pc = next(iter(data["behaviors"]))
+        data["behaviors"][pc] = {"kind": "nonsense"}
+        with pytest.raises(WorkloadError, match="unknown behavior kind"):
+            _workload_from_dict(data)

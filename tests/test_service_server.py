@@ -138,6 +138,18 @@ async def _request(port, method, target, payload=None):
     return status, json.loads(data)
 
 
+async def _raw_status(port, data, eof=False):
+    """Send raw request bytes (then EOF, if asked); the response status."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(data)
+    if eof:
+        writer.write_eof()
+    await writer.drain()
+    status = int((await reader.readline()).split()[1])
+    writer.close()
+    return status
+
+
 @pytest.fixture()
 def served(tmp_path):
     """A started service + server; yields (port, service) to async tests."""
@@ -248,6 +260,26 @@ class TestServiceServer:
             status = int((await reader.readline()).split()[1])
             writer.close()
             return status
+        assert served(scenario) == 400
+
+    def test_negative_content_length_is_400(self, served):
+        async def scenario(port, _service):
+            return await _raw_status(
+                port, b"POST /run HTTP/1.1\r\nContent-Length: -1\r\n\r\n")
+        assert served(scenario) == 400
+
+    def test_body_shorter_than_content_length_is_400(self, served):
+        async def scenario(port, _service):
+            return await _raw_status(
+                port, b"POST /run HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",
+                eof=True)
+        assert served(scenario) == 400
+
+    def test_header_line_over_the_stream_limit_is_400(self, served):
+        async def scenario(port, _service):
+            return await _raw_status(
+                port, b"POST /run HTTP/1.1\r\nX-Padding: " +
+                b"a" * (64 * 1024 + 100) + b"\r\n\r\n")
         assert served(scenario) == 400
 
     def test_empty_jobs_is_400(self, served):
