@@ -81,23 +81,15 @@ class BranchTargetBuffer:
         l1_entries = max(1, cfg.btb_entries // 8)
         self.l1 = _BtbLevel(l1_entries, cfg.btb_branches_per_entry)
         self.l2 = _BtbLevel(cfg.btb_entries, cfg.btb_branches_per_entry)
-        self.lookups = 0
-        self.l1_hits = 0
-        self.l2_hits = 0
-        self.misses = 0
 
     def lookup(self, pc: int) -> Tuple[BtbOutcome, Optional[BtbRecord]]:
-        self.lookups += 1
         record = self.l1.lookup(pc)
         if record is not None:
-            self.l1_hits += 1
             return BtbOutcome.L1_HIT, record
         record = self.l2.lookup(pc)
         if record is not None:
-            self.l2_hits += 1
             self.l1.install(pc, record)   # promote on L2 hit
             return BtbOutcome.L2_HIT, record
-        self.misses += 1
         return BtbOutcome.MISS, None
 
     def install(self, pc: int, target: int, kind: BranchKind) -> None:
@@ -116,20 +108,14 @@ class ReturnAddressStack:
     def __init__(self, entries: int = 32) -> None:
         self.capacity = entries
         self._stack = []
-        self.pushes = 0
-        self.pops = 0
-        self.underflows = 0
 
     def push(self, return_address: int) -> None:
-        self.pushes += 1
         if len(self._stack) >= self.capacity:
             self._stack.pop(0)
         self._stack.append(return_address)
 
     def pop(self) -> Optional[int]:
-        self.pops += 1
         if not self._stack:
-            self.underflows += 1
             return None
         return self._stack.pop()
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..common.config import MemoryHierarchyConfig
-from ..common.statistics import StatGroup
 from .replacement import TrueLru
 from .setassoc import SetAssociativeCache
 
@@ -28,9 +27,6 @@ class MemoryHierarchy:
         self.l1d = SetAssociativeCache(cfg.l1d)
         self.l2 = SetAssociativeCache(cfg.l2)
         self.l3 = SetAssociativeCache(cfg.l3)
-        self.stats = StatGroup("hierarchy")
-        self._i_prefetches = self.stats.counter("icache_prefetches")
-        self._i_prefetch_hits = self.stats.counter("icache_prefetch_line_hits")
         # Recency lists for the inlined LRU-hit update (None when an L1 runs
         # a non-LRU policy; the access paths then call on_hit).
         self._l1i_lru = self.l1i._policy._order \
@@ -58,7 +54,7 @@ class MemoryHierarchy:
         try:
             way = ways.index(tag)
         except ValueError:
-            l1i._misses.value += 1
+            l1i.misses += 1
             latency = self._miss_latency(address, l1i)
         else:
             lru = self._l1i_lru
@@ -68,15 +64,12 @@ class MemoryHierarchy:
                 order.append(way)
             else:  # pragma: no cover - non-LRU L1-I configuration
                 l1i._policy.on_hit(set_index, way)
-            l1i._hits.value += 1
+            l1i.hits += 1
             latency = l1i.config.hit_latency_cycles
         if self.config.icache_prefetch:
             next_line = line + 1
-            if (next_line >> l1i._set_shift) in \
+            if (next_line >> l1i._set_shift) not in \
                     l1i._tags[next_line & l1i._set_mask]:
-                self._i_prefetch_hits.value += 1
-            else:
-                self._i_prefetches.value += 1
                 self._fill_all(next_line << l1i._line_shift, l1i)
         return latency
 
@@ -96,7 +89,7 @@ class MemoryHierarchy:
         try:
             way = ways.index(tag)
         except ValueError:
-            l1d._misses.value += 1
+            l1d.misses += 1
             latency = self._miss_latency(address, l1d)
         else:
             lru = self._l1d_lru
@@ -106,7 +99,7 @@ class MemoryHierarchy:
                 order.append(way)
             else:  # pragma: no cover - non-LRU L1-D configuration
                 l1d._policy.on_hit(set_index, way)
-            l1d._hits.value += 1
+            l1d.hits += 1
             latency = l1d.config.hit_latency_cycles
         next_line = line + 1
         if (next_line >> l1d._set_shift) not in \

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..common.config import CacheLevelConfig
-from ..common.statistics import StatGroup
 from .replacement import make_policy
 
 
@@ -30,11 +29,8 @@ class SetAssociativeCache:
             [None] * self.num_ways for _ in range(self.num_sets)]
         self._policy = make_policy(config.replacement,
                                    self.num_sets, self.num_ways)
-        self.stats = StatGroup(config.name)
-        self._hits = self.stats.counter("hits")
-        self._misses = self.stats.counter("misses")
-        self._fills = self.stats.counter("fills")
-        self._invalidations = self.stats.counter("invalidations")
+        self.hits = 0
+        self.misses = 0
 
     def _index_tag(self, address: int) -> tuple:
         line = address >> self._line_shift
@@ -48,9 +44,9 @@ class SetAssociativeCache:
             if existing == tag:
                 if update_replacement:
                     self._policy.on_hit(set_index, way)
-                self._hits.increment()
+                self.hits += 1
                 return True
-        self._misses.increment()
+        self.misses += 1
         return False
 
     def contains(self, address: int) -> bool:
@@ -69,7 +65,6 @@ class SetAssociativeCache:
         evicted_tag = ways[way]
         ways[way] = tag
         self._policy.on_fill(set_index, way)
-        self._fills.increment()
         if evicted_tag is None:
             return None
         evicted_line = (evicted_tag << self._set_shift) | set_index
@@ -81,7 +76,6 @@ class SetAssociativeCache:
         for way, existing in enumerate(ways):
             if existing == tag:
                 ways[way] = None
-                self._invalidations.increment()
                 return True
         return False
 
@@ -89,14 +83,6 @@ class SetAssociativeCache:
         for ways in self._tags:
             for way in range(self.num_ways):
                 ways[way] = None
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
 
     @property
     def hit_rate(self) -> float:

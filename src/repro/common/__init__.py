@@ -1,4 +1,4 @@
-"""Shared infrastructure: errors, configuration, statistics primitives."""
+"""Shared infrastructure: errors, configuration, statistics helpers."""
 
 from .config import (
     BranchPredictorConfig,
@@ -26,15 +26,7 @@ from .errors import (
     WorkloadError,
 )
 from .hashing import derive_stream_seed, splitmix64
-from .statistics import (
-    Counter,
-    Histogram,
-    RunningMean,
-    StatGroup,
-    arithmetic_mean,
-    geometric_mean,
-    ratio,
-)
+from .statistics import Histogram, arithmetic_mean, geometric_mean, ratio
 
 __all__ = [
     "BranchPredictorConfig",
@@ -43,7 +35,6 @@ __all__ = [
     "CompactionPolicy",
     "ConfigError",
     "CoreConfig",
-    "Counter",
     "DecoderConfig",
     "Histogram",
     "LoopCacheConfig",
@@ -52,10 +43,8 @@ __all__ = [
     "ReplacementKind",
     "ReproError",
     "ReproWarning",
-    "RunningMean",
     "SimulationError",
     "SimulatorConfig",
-    "StatGroup",
     "TelemetryConfig",
     "UopCacheConfig",
     "WorkloadError",

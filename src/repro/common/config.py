@@ -96,7 +96,6 @@ class UopCacheConfig:
     max_ucoded_per_entry: int = 4
     bandwidth_uops_per_cycle: int = 8
     fetch_latency_cycles: int = 2     # OC hit -> uop queue
-    replacement: ReplacementKind = ReplacementKind.LRU
     # Optimizations under study:
     clasp: bool = False               # allow entries to span the I-cache line boundary
     clasp_max_lines: int = 2          # max contiguous I-cache lines fused per entry
@@ -207,6 +206,13 @@ class CacheLevelConfig:
     replacement: ReplacementKind = ReplacementKind.LRU
 
     def __post_init__(self) -> None:
+        # Set-associative indexing shifts by log2(line_bytes); the PW
+        # builder and the uop cache divide by it.  Only a power of two
+        # makes the two agree on line boundaries.
+        _require(self.line_bytes >= 1 and
+                 self.line_bytes & (self.line_bytes - 1) == 0,
+                 f"{self.name}: line size must be a power of two "
+                 f"(got {self.line_bytes})")
         _require(self.size_bytes >= self.line_bytes, "cache smaller than one line")
         _require(self.size_bytes % (self.line_bytes * self.associativity) == 0,
                  f"{self.name}: size must be divisible by line*ways")

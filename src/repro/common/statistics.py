@@ -1,40 +1,21 @@
-"""Lightweight statistics primitives used across all simulator components.
+"""Statistics helpers shared across the simulator and its analyses.
 
-The simulator prefers explicit, named counters over ad-hoc attributes so that
-every structure can dump a coherent, flat report.  Three primitives cover all
-needs:
+Components count in plain ``int`` attributes.  This module holds what
+plain ints do not cover:
 
-- :class:`Counter` — a named monotonically increasing count.
 - :class:`Histogram` — integer-bucketed distribution with helpers for
   percentage breakdowns (used for e.g. entry-size distributions, Fig. 5).
-- :class:`RunningMean` — a numerically stable streaming mean (e.g. branch
-  misprediction latency).
+- :func:`ratio`, :func:`geometric_mean`, :func:`arithmetic_mean` — the
+  0-safe aggregation the metrics and figures are built from.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, cast
 
 from .errors import ReproWarning
-
-
-@dataclass
-class Counter:
-    """A named monotonically increasing counter."""
-
-    name: str
-    value: int = 0
-
-    def increment(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
 
 
 class Histogram:
@@ -97,65 +78,6 @@ class Histogram:
         for value, count in counts.items():
             hist._counts[int(value)] += int(count)
         return hist
-
-
-@dataclass
-class RunningMean:
-    """Numerically stable streaming mean with sample count."""
-
-    name: str
-    count: int = 0
-    _mean: float = 0.0
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self._mean += (value - self._mean) / self.count
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-
-class StatGroup:
-    """A flat, ordered collection of counters/histograms/means for one component.
-
-    Components create their stats through a group so that reports stay
-    consistent: ``group.counter("hits")`` both registers and returns the stat.
-    """
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._means: Dict[str, RunningMean] = {}
-
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(f"{self.prefix}.{name}")
-        return self._counters[name]
-
-    def histogram(self, name: str) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(f"{self.prefix}.{name}")
-        return self._histograms[name]
-
-    def running_mean(self, name: str) -> RunningMean:
-        if name not in self._means:
-            self._means[name] = RunningMean(f"{self.prefix}.{name}")
-        return self._means[name]
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flatten every stat into ``{fully.qualified.name: value}``."""
-        report: Dict[str, float] = {}
-        for counter in self._counters.values():
-            report[counter.name] = counter.value
-        for mean in self._means.values():
-            report[f"{mean.name}.mean"] = mean.mean
-            report[f"{mean.name}.count"] = mean.count
-        for hist in self._histograms.values():
-            report[f"{hist.name}.total"] = hist.total
-            report[f"{hist.name}.mean"] = hist.mean()
-        return report
 
 
 def ratio(numerator: float, denominator: float) -> float:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..common.config import LoopCacheConfig
-from ..common.statistics import StatGroup
 from ..telemetry.events import EventKind
 from ..telemetry.hub import TelemetryHub
 
@@ -39,10 +38,9 @@ class LoopCache:
         self._streak: Dict[_LoopKey, int] = {}
         self._active: Optional[_LoopKey] = None
         self._active_uops = 0
-        self.stats = StatGroup("loopcache")
-        self._captures = self.stats.counter("captures")
-        self._uops_served = self.stats.counter("uops_served")
-        self._exits = self.stats.counter("exits")
+        self.captures = 0
+        self.uops_served = 0
+        self.exits = 0
 
     @property
     def active(self) -> bool:
@@ -72,7 +70,7 @@ class LoopCache:
             return False
         key = _LoopKey(branch_pc, target_pc)
         if self._active == key:
-            self._uops_served.increment(body_uops)
+            self.uops_served += body_uops
             if self._telemetry is not None:
                 self._telemetry.emit(EventKind.LOOP_REPLAY,
                                      branch_pc=branch_pc, uops=body_uops)
@@ -87,8 +85,8 @@ class LoopCache:
             self._note_exit()
             self._active = key
             self._active_uops = body_uops
-            self._captures.increment()
-            self._uops_served.increment(body_uops)
+            self.captures += 1
+            self.uops_served += body_uops
             if self._telemetry is not None:
                 self._telemetry.emit(EventKind.LOOP_CAPTURE,
                                      branch_pc=branch_pc,
@@ -106,24 +104,12 @@ class LoopCache:
 
     def _note_exit(self) -> None:
         if self._active is not None:
-            self._exits.increment()
+            self.exits += 1
             if self._telemetry is not None:
                 self._telemetry.emit(EventKind.LOOP_EXIT,
                                      branch_pc=self._active.branch_pc)
             self._active = None
             self._active_uops = 0
-
-    @property
-    def uops_served(self) -> int:
-        return self._uops_served.value
-
-    @property
-    def captures(self) -> int:
-        return self._captures.value
-
-    @property
-    def exits(self) -> int:
-        return self._exits.value
 
     def snapshot(self) -> Dict[str, int]:
         """Flat counter view (captures/served/exits) for external checkers."""

@@ -44,7 +44,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .engine import ImportMap, Module, dotted_name
+from .engine import Module, dotted_name, module_imports
 
 # -- effect tags --------------------------------------------------------------
 
@@ -401,7 +401,7 @@ class _ModuleIndex:
     def __init__(self, module: Module) -> None:
         self.module = module
         self.rel = module.rel
-        self.imports = ImportMap(module.tree)
+        self.imports = module_imports(module)
         #: local name -> imported *bare* member name (any import level, so
         #: relative imports resolve through the global registry too).
         self.member_alias: Dict[str, str] = {}

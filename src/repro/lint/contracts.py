@@ -36,8 +36,10 @@ from .engine import Module, ProjectRule, dotted_name, iter_dotted, register
 from .finding import Finding
 from .rules import SIMULATION_SCOPE
 
-#: Packages whose ``self.<attr> +=`` statements are treated as counters.
-COUNTER_SCOPE: Tuple[str, ...] = ("repro/core", "repro/uopcache")
+#: Packages whose ``self.<attr> +=`` statements are treated as counters:
+#: every simulation package plus the back-end and the power model.
+COUNTER_SCOPE: Tuple[str, ...] = SIMULATION_SCOPE + (
+    "repro/backend", "repro/power")
 
 #: Packages whose config reads X3 checks (simulation code plus the layers
 #: that consume configs the same way).

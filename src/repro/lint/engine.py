@@ -414,6 +414,17 @@ class ImportMap:
         return None
 
 
+def module_imports(module: Module) -> ImportMap:
+    """The module's :class:`ImportMap`, built once per engine run and
+    shared by every rule through ``Module.analysis_cache``."""
+    imports = module.analysis_cache.get("imports")
+    if imports is None:
+        imports = ImportMap(module.tree)
+        module.analysis_cache["imports"] = imports
+    result: ImportMap = imports
+    return result
+
+
 def is_builtin_call(node: ast.Call, names: Iterable[str],
                     imports: Optional[ImportMap] = None) -> bool:
     """True when ``node`` calls one of the given builtins by bare name.

@@ -30,7 +30,8 @@ from .dataflow import (
     element_walrus_names,
     scope_info,
 )
-from .engine import ImportMap, Module, VisitorRule, dotted_name, register
+from .engine import (ImportMap, Module, VisitorRule, dotted_name,
+                     module_imports, register)
 from .finding import Finding, Severity
 
 _CACHE_KEY = "flow:functions"
@@ -74,15 +75,6 @@ def function_infos(module: Module) -> List[FunctionInfo]:
         module.analysis_cache[_CACHE_KEY] = cached
     infos: List[FunctionInfo] = cached
     return infos
-
-
-def module_imports(module: Module) -> ImportMap:
-    imports = module.analysis_cache.get("flow:imports")
-    if imports is None:
-        imports = ImportMap(module.tree)
-        module.analysis_cache["flow:imports"] = imports
-    result: ImportMap = imports
-    return result
 
 
 class FlowRule(VisitorRule):

@@ -22,6 +22,7 @@ from .engine import (
     VisitorRule,
     dotted_name,
     is_builtin_call,
+    module_imports,
     register,
 )
 from .finding import Finding, Severity
@@ -97,7 +98,7 @@ class UnseededRandomRule(VisitorRule):
                                "numpy.random.SeedSequence")
 
     def begin(self, module: Module) -> None:
-        self._imports = ImportMap(module.tree)
+        self._imports = module_imports(module)
 
     def visit_Call(self, node: ast.Call) -> None:
         canonical = self._imports.canonical(node.func)
@@ -131,7 +132,7 @@ class SetIterationRule(VisitorRule):
     scope = SIMULATION_SCOPE
 
     def begin(self, module: Module) -> None:
-        self._imports = ImportMap(module.tree)
+        self._imports = module_imports(module)
         self._sets = SetTracker(module.tree, self._imports)
         self._exempt: Set[int] = set()
 
@@ -201,7 +202,7 @@ class WallClockRule(VisitorRule):
     }
 
     def begin(self, module: Module) -> None:
-        self._imports = ImportMap(module.tree)
+        self._imports = module_imports(module)
 
     def visit_Call(self, node: ast.Call) -> None:
         canonical = self._imports.canonical(node.func)
@@ -484,7 +485,7 @@ class UnorderedSumRule(VisitorRule):
                  "sorted(...) sequence (or use math.fsum) instead.")
 
     def begin(self, module: Module) -> None:
-        self._imports = ImportMap(module.tree)
+        self._imports = module_imports(module)
         self._sets = SetTracker(module.tree, self._imports)
 
     def visit_Call(self, node: ast.Call) -> None:

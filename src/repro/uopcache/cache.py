@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..common.config import CompactionPolicy, UopCacheConfig
 from ..common.errors import CacheError
-from ..common.statistics import StatGroup
+from ..common.statistics import Histogram
 from ..caches.replacement import TrueLru
 from ..telemetry.events import EventKind
 from ..telemetry.hub import TelemetryHub
@@ -90,21 +90,18 @@ class UopCache:
         # Per-set lookup index: entry start pc -> way.
         self._index: List[Dict[int, int]] = [{} for _ in range(cfg.num_sets)]
 
-        self.stats = StatGroup("uopcache")
-        self._hits = self.stats.counter("hits")
-        self._misses = self.stats.counter("misses")
-        self._fills = self.stats.counter("fills")
-        self._duplicate_fills = self.stats.counter("duplicate_fills")
-        self._compacted_fills = self.stats.counter("compacted_fills")
-        self._evicted_entries = self.stats.counter("evicted_entries")
-        self._invalidated_entries = self.stats.counter("invalidated_entries")
-        self._uops_delivered = self.stats.counter("uops_delivered")
+        self.hits = 0
+        self.misses = 0
+        self.fills = 0
+        self.duplicate_fills = 0
+        self.evicted_entries = 0
+        self.invalidated_entries = 0
+        self.uops_delivered = 0
+        self._spanning_fills = 0
         self._fill_kind_counts: Dict[FillKind, int] = {k: 0 for k in FillKind}
-        self._entry_size_hist = self.stats.histogram("entry_size_bytes")
-        self._entry_uops_hist = self.stats.histogram("entry_uops")
+        self._entry_size_hist = Histogram("uopcache.entry_size_bytes")
         self._termination_counts: Dict[EntryTermination, int] = {
             reason: 0 for reason in EntryTermination}
-        self._spanning_fills = self.stats.counter("entries_spanning_lines")
 
     def attach_telemetry(self, telemetry: Optional[TelemetryHub]) -> None:
         """Attach (or detach, with None) a telemetry hub after construction."""
@@ -128,7 +125,7 @@ class UopCache:
         set_index = (pc // self.icache_line_bytes) % self.config.num_sets
         way = self._index[set_index].get(pc)
         if way is None:
-            self._misses.value += 1
+            self.misses += 1
             if self._telemetry is not None:
                 self._telemetry.emit(EventKind.OC_MISS, pc=pc)
             return None
@@ -138,8 +135,8 @@ class UopCache:
                 order.remove(way)
                 order.append(way)
                 uops = len(entry.uops)
-                self._hits.value += 1
-                self._uops_delivered.value += uops
+                self.hits += 1
+                self.uops_delivered += uops
                 if self._telemetry is not None:
                     self._telemetry.emit(EventKind.OC_HIT, pc=pc, uops=uops)
                 return entry
@@ -166,7 +163,7 @@ class UopCache:
                 f"start {entry.start_pc:#x}")
         set_index = self.set_index(entry.start_pc)
         if entry.start_pc in self._index[set_index]:
-            self._duplicate_fills.increment()
+            self.duplicate_fills += 1
             self._fill_kind_counts[FillKind.DUPLICATE] += 1
             if self._telemetry is not None:
                 self._telemetry.emit(EventKind.OC_FILL, pc=entry.start_pc,
@@ -180,10 +177,8 @@ class UopCache:
             result = self._fill_compacting(set_index, entry, policy)
         else:
             result = self._fill_alloc(set_index, entry)
-        self._fills.increment()
+        self.fills += 1
         self._fill_kind_counts[result.kind] += 1
-        if result.kind in (FillKind.RAC, FillKind.PWAC, FillKind.F_PWAC):
-            self._compacted_fills.increment()
         if self._telemetry is not None:
             self._telemetry.emit(
                 EventKind.OC_FILL, pc=entry.start_pc,
@@ -195,10 +190,9 @@ class UopCache:
 
     def _record_fill_stats(self, entry: UopCacheEntry) -> None:
         self._entry_size_hist.record(entry.size_bytes(self.config))
-        self._entry_uops_hist.record(entry.num_uops)
         self._termination_counts[entry.termination] += 1
         if entry.spans_icache_lines(self.icache_line_bytes):
-            self._spanning_fills.increment()
+            self._spanning_fills += 1
 
     def _fill_alloc(self, set_index: int, entry: UopCacheEntry) -> FillResult:
         lines = self._sets[set_index]
@@ -320,7 +314,7 @@ class UopCache:
             if self._telemetry is not None:
                 self._telemetry.emit(EventKind.OC_EVICT, pc=entry.start_pc,
                                      uops=entry.num_uops)
-        self._evicted_entries.increment(len(evicted))
+        self.evicted_entries += len(evicted)
         line.entries = []
         return evicted
 
@@ -352,7 +346,7 @@ class UopCache:
                     else:
                         push(entry)
                 line.entries = keep
-        self._invalidated_entries.increment(removed)
+        self.invalidated_entries += removed
         if self._telemetry is not None:
             self._telemetry.emit(EventKind.OC_INVALIDATE, line=line_address,
                                  removed=removed)
@@ -369,37 +363,9 @@ class UopCache:
     # -- observability ------------------------------------------------------------
 
     @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    @property
-    def fills(self) -> int:
-        return self._fills.value
-
-    @property
-    def duplicate_fills(self) -> int:
-        return self._duplicate_fills.value
-
-    @property
-    def evicted_entries(self) -> int:
-        return self._evicted_entries.value
-
-    @property
-    def invalidated_entries(self) -> int:
-        return self._invalidated_entries.value
-
-    @property
-    def uops_delivered(self) -> int:
-        return self._uops_delivered.value
 
     @property
     def fill_kind_counts(self) -> Dict[FillKind, int]:
@@ -414,18 +380,15 @@ class UopCache:
         return self._entry_size_hist
 
     @property
-    def entry_uops_histogram(self):
-        return self._entry_uops_hist
-
-    @property
     def spanning_fill_fraction(self) -> float:
-        return self._spanning_fills.value / self._fills.value \
-            if self._fills.value else 0.0
+        return self._spanning_fills / self.fills if self.fills else 0.0
 
     @property
     def compacted_fill_fraction(self) -> float:
-        return self._compacted_fills.value / self._fills.value \
-            if self._fills.value else 0.0
+        kinds = self._fill_kind_counts
+        compacted = kinds[FillKind.RAC] + kinds[FillKind.PWAC] + \
+            kinds[FillKind.F_PWAC]
+        return compacted / self.fills if self.fills else 0.0
 
     def resident_tags(self) -> List[List[Tuple[int, int, int, int]]]:
         """Per-set sorted ``(start_pc, end_pc, pw_id, num_uops)`` tuples.

@@ -66,15 +66,6 @@ class TestBtb:
         outcome, _ = btb.lookup(0)
         assert outcome is BtbOutcome.MISS
 
-    def test_stats(self):
-        btb = BranchTargetBuffer()
-        btb.lookup(0x100)
-        btb.install(0x100, 0x200, BranchKind.CALL)
-        btb.lookup(0x100)
-        assert btb.lookups == 2
-        assert btb.misses == 1
-        assert btb.l1_hits == 1
-
 
 class TestRas:
     def test_push_pop(self):
@@ -87,7 +78,6 @@ class TestRas:
     def test_underflow_returns_none(self):
         ras = ReturnAddressStack(8)
         assert ras.pop() is None
-        assert ras.underflows == 1
 
     def test_overflow_drops_oldest(self):
         ras = ReturnAddressStack(2)
@@ -98,10 +88,3 @@ class TestRas:
         assert ras.pop() == 0x3
         assert ras.pop() == 0x2
         assert ras.pop() is None
-
-    def test_counters(self):
-        ras = ReturnAddressStack(4)
-        ras.push(0x1)
-        ras.pop()
-        assert ras.pushes == 1
-        assert ras.pops == 1

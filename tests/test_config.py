@@ -49,7 +49,6 @@ class TestTableIDefaults:
         assert oc.max_imm_disp_per_entry == 4
         assert oc.max_ucoded_per_entry == 4
         assert oc.bandwidth_uops_per_cycle == 8
-        assert oc.replacement is ReplacementKind.LRU
         # 32 sets x 8 ways x 8 uops = 2K uops, the paper's baseline.
         assert oc.capacity_uops == 2048
 
@@ -115,6 +114,13 @@ class TestCacheLevelConfig:
     def test_rejects_indivisible_size(self):
         with pytest.raises(ConfigError):
             CacheLevelConfig(name="x", size_bytes=1000, associativity=3)
+
+    def test_rejects_non_pow2_line(self):
+        # 64 sets x 8 ways of 48-byte lines: every other check passes, but
+        # shift-based indexing would treat the lines as 32 bytes.
+        with pytest.raises(ConfigError, match="L1I: line size"):
+            CacheLevelConfig(name="L1I", size_bytes=48 * 8 * 64,
+                             associativity=8, line_bytes=48)
 
 
 class TestValidation:

@@ -1,12 +1,15 @@
 """Tests for the whole-program contract rules (X1-X3) and their shared
 symbol model: model construction, the fixture triples, the one-build-per-run
 caching contract, and a drill that plants a write-only counter into a copy
-of the real simulator to prove X1 catches the bug class it exists for.
+of a real module in each counter package to prove X1 catches the bug class
+it exists for.
 """
 
 import ast
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from repro.lint import LintEngine, all_rules
 from repro.lint import contracts
@@ -194,16 +197,23 @@ class TestSharedModelCache:
 
 
 class TestX1Drill:
-    def test_planted_counter_is_caught(self, tmp_path):
-        """Plant a counter increment nobody reads into a copy of the real
-        simulator; the whole-tree run must flag exactly that counter."""
-        source = (REPO_ROOT / "src/repro/core/simulator.py").read_text()
-        line = next(l for l in source.splitlines()
-                    if "self._mispredicts += 1" in l)
+    @pytest.mark.parametrize("rel, anchor", [
+        ("core/simulator.py", "self._mispredicts += 1"),
+        ("branch/predictor.py", "self.branches += 1"),
+        ("backend/core.py", "self.busy_cycles += 1"),
+        ("power/decoder.py", "self.insts_decoded += num_insts"),
+        ("caches/setassoc.py", "self.hits += 1"),
+        ("frontend/loopcache.py", "self.captures += 1"),
+    ], ids=["core", "branch", "backend", "power", "caches", "frontend"])
+    def test_planted_counter_is_caught(self, tmp_path, rel, anchor):
+        """Plant a counter increment nobody reads into a copy of one real
+        module per counter package; the whole-tree run must flag exactly
+        that counter."""
+        source = (REPO_ROOT / "src/repro" / rel).read_text()
+        line = next(l for l in source.splitlines() if anchor in l)
         pad = line[:len(line) - len(line.lstrip())]
-        planted_dir = tmp_path / "repro" / "core"
-        planted_dir.mkdir(parents=True)
-        planted = planted_dir / "simulator.py"
+        planted = tmp_path / "repro" / rel
+        planted.parent.mkdir(parents=True)
         planted.write_text(source.replace(
             line, line + "\n" + pad + "self._phantom_counter += 1", 1))
 

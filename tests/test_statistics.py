@@ -1,4 +1,4 @@
-"""Unit tests for the statistics primitives."""
+"""Unit tests for the statistics helpers."""
 
 import math
 import warnings
@@ -7,40 +7,11 @@ import pytest
 
 from repro.common.errors import ReproWarning
 from repro.common.statistics import (
-    Counter,
     Histogram,
-    RunningMean,
-    StatGroup,
     arithmetic_mean,
     geometric_mean,
     ratio,
 )
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter("c").value == 0
-
-    def test_increment_default(self):
-        c = Counter("c")
-        c.increment()
-        assert c.value == 1
-
-    def test_increment_amount(self):
-        c = Counter("c")
-        c.increment(5)
-        c.increment(2)
-        assert c.value == 7
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            Counter("c").increment(-1)
-
-    def test_reset(self):
-        c = Counter("c")
-        c.increment(3)
-        c.reset()
-        assert c.value == 0
 
 
 class TestHistogram:
@@ -97,34 +68,6 @@ class TestHistogram:
         b.record(2)
         a.merge(b)
         assert a.counts == {1: 2, 2: 1}
-
-
-class TestRunningMean:
-    def test_empty_mean_is_zero(self):
-        assert RunningMean("m").mean == 0.0
-
-    def test_mean_of_values(self):
-        m = RunningMean("m")
-        for v in (1.0, 2.0, 3.0, 4.0):
-            m.record(v)
-        assert m.mean == pytest.approx(2.5)
-        assert m.count == 4
-
-
-class TestStatGroup:
-    def test_counter_identity(self):
-        g = StatGroup("x")
-        assert g.counter("hits") is g.counter("hits")
-
-    def test_as_dict_contains_all(self):
-        g = StatGroup("pfx")
-        g.counter("hits").increment(2)
-        g.histogram("sizes").record(10)
-        g.running_mean("lat").record(5.0)
-        d = g.as_dict()
-        assert d["pfx.hits"] == 2
-        assert d["pfx.sizes.total"] == 1
-        assert d["pfx.lat.mean"] == 5.0
 
 
 class TestHelpers:
