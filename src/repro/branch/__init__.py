@@ -1,7 +1,8 @@
 """Branch prediction: TAGE, BTB, RAS, and prediction-window construction."""
 
 from .btb import BranchTargetBuffer, BtbOutcome, BtbRecord, ReturnAddressStack
-from .predictor import BranchPredictionUnit, PredictionOutcome
+from .predictor import (NOT_A_BRANCH, BranchPredictionUnit,
+                        PredictionOutcome, outcome_column)
 from .tage import TagePredictor
 from .window import (
     PredictionWindow,
@@ -14,10 +15,12 @@ __all__ = [
     "BranchTargetBuffer",
     "BtbOutcome",
     "BtbRecord",
+    "NOT_A_BRANCH",
     "PredictionOutcome",
     "PredictionWindow",
     "PredictionWindowBuilder",
     "PwTermination",
     "ReturnAddressStack",
     "TagePredictor",
+    "outcome_column",
 ]

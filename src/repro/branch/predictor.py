@@ -13,28 +13,38 @@ For every dynamic control-transfer instruction the unit produces a
 This is the standard trace-driven decomposition: prediction windows follow
 the resolved path while penalties are charged according to what the real
 predictor would have done.
+
+The unit reads only the resolved trace: no timing and no uop-cache state.
+So its outcome stream is a pure function of the trace and the
+:class:`BranchPredictorConfig`, and :func:`outcome_column` computes it once
+per trace, one byte per record.  The serve loops and the oracle read that
+column; nothing else drives the unit.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..common.config import BranchPredictorConfig
 from ..isa.instruction import BranchKind, X86Instruction
+from ..workloads.trace import Trace
 from .btb import BranchTargetBuffer, BtbOutcome, ReturnAddressStack
 from .tage import TagePredictor
 
 
 class PredictionOutcome(enum.IntEnum):
     """What :meth:`BranchPredictionUnit.observe` returns.  An ``IntEnum``,
-    so the serve loops can compare it with plain ints and no object is
-    allocated per branch."""
+    so it is stored in an outcome column as its plain value: compare a
+    column byte with ``==``, never ``is``."""
 
     CORRECT = 0
     DECODE_RESTEER = 1
     MISPREDICT = 2
 
+
+#: Outcome-column value of a record that is not a branch.
+NOT_A_BRANCH = 3
 
 # Module-level aliases: on the per-branch path a global load costs a
 # third of an enum attribute lookup.
@@ -49,22 +59,12 @@ class BranchPredictionUnit:
         self.tage = TagePredictor(self.config)
         self.btb = BranchTargetBuffer(self.config)
         self.ras = ReturnAddressStack(self.config.ras_entries)
-        self.branches = 0
-        self.mispredicts = 0
-        self.decode_resteers = 0
 
     def observe(self, inst: X86Instruction, taken: bool,
                 actual_target: int) -> PredictionOutcome:
-        """Resolve one dynamic branch; updates all predictor state and the
-        outcome counters.  Conditional branches, the overwhelmingly common
-        kind, go through the fused single-walk
-        :meth:`TagePredictor.observe`."""
-        self.branches += 1
-        if self.config.perfect:
-            # Limit study: still trains the predictors (so statistics stay
-            # meaningful) but never reports a redirect.
-            self._train_only(inst, taken, actual_target)
-            return _CORRECT
+        """Resolve one dynamic branch and update all predictor state.
+        Conditional branches, the overwhelmingly common kind, go through
+        the fused single-walk :meth:`TagePredictor.observe`."""
         kind = inst.branch_kind
 
         if kind is BranchKind.CONDITIONAL:
@@ -73,16 +73,13 @@ class BranchPredictionUnit:
             if predicted_taken != taken:
                 if taken:
                     self.btb.install(address, actual_target, kind)
-                self.mispredicts += 1
                 return _MISPREDICT
             if taken:
                 btb_outcome, record = self.btb.lookup(address)
                 self.btb.install(address, actual_target, kind)
                 if btb_outcome is BtbOutcome.MISS or record is None:
-                    self.decode_resteers += 1
                     return _DECODE_RESTEER
                 if record.target != actual_target:
-                    self.mispredicts += 1
                     return _MISPREDICT
             return _CORRECT
 
@@ -99,10 +96,6 @@ class BranchPredictionUnit:
             outcome = self._observe_indirect(inst, actual_target)
         else:
             raise ValueError(f"instruction at {inst.address:#x} is not a branch")
-        if outcome is _MISPREDICT:
-            self.mispredicts += 1
-        elif outcome is _DECODE_RESTEER:
-            self.decode_resteers += 1
         return outcome
 
     # Old name, kept only because perfbench/tracer.py wraps it by name and
@@ -132,24 +125,40 @@ class BranchPredictionUnit:
             return _MISPREDICT
         return _CORRECT
 
-    def _train_only(self, inst: X86Instruction, taken: bool,
-                    actual_target: int) -> None:
-        kind = inst.branch_kind
-        if kind is BranchKind.CONDITIONAL:
-            self.tage.update(inst.address, taken)
-            if taken:
-                self.btb.install(inst.address, actual_target, kind)
-        elif kind in (BranchKind.UNCONDITIONAL, BranchKind.CALL,
-                      BranchKind.INDIRECT_CALL, BranchKind.INDIRECT):
-            self.btb.install(inst.address, actual_target, kind)
-            if kind in (BranchKind.CALL, BranchKind.INDIRECT_CALL):
-                self.ras.push(inst.end_address)
-        elif kind is BranchKind.RET:
-            self.ras.pop()
 
-    @property
-    def mpki_denominator(self) -> int:
-        return self.branches
+def outcome_column(trace: Trace, config: BranchPredictorConfig) -> bytes:
+    """The branch outcome of every record of ``trace``, one byte each.
 
-    def mpki(self, instructions: int) -> float:
-        return 1000.0 * self.mispredicts / instructions if instructions else 0.0
+    A branch record holds its :class:`PredictionOutcome` value and any
+    other record :data:`NOT_A_BRANCH`.  One :class:`BranchPredictionUnit`
+    observes the branch records in trace order, as every serve path used
+    to, so outcome *i* depends only on records 0..*i*: the column of a
+    trace prefix is the prefix of this column.  Under ``config.perfect``
+    every branch is ``CORRECT`` and no unit is built.
+    """
+    program = trace.program
+    records = trace.records
+    column = bytearray((NOT_A_BRANCH,)) * len(records)
+    # Looked up on the instance, so a wrapper installed on the class
+    # (perfbench's tracer) sees every call.
+    observe = None if config.perfect else \
+        BranchPredictionUnit(config).observe
+    # Per static PC: (the branch, its end address), or None for any other
+    # instruction.  Saves a program lookup and two properties per record.
+    statics: Dict[int, Optional[Tuple[X86Instruction, int]]] = {}
+    get_static = statics.get
+    for i, record in enumerate(records):
+        pc = record.pc
+        static = get_static(pc, False)
+        if static is False:
+            inst = program.at(pc)
+            static = (inst, inst.end_address) if inst.is_branch else None
+            statics[pc] = static
+        if static is not None:
+            if observe is None:
+                column[i] = _CORRECT
+            else:
+                inst, end_address = static
+                next_pc = record.next_pc
+                column[i] = observe(inst, next_pc != end_address, next_pc)
+    return bytes(column)

@@ -5,8 +5,10 @@ indexed by geometrically increasing global-history lengths.  Folded-history
 registers are maintained incrementally so each prediction is O(number of
 tables) rather than O(history length).
 
-The predictor exposes ``predict(pc) -> bool`` and ``update(pc, taken)``;
-the simulator calls them for every dynamic conditional branch.
+:meth:`TagePredictor.observe` is the fused ``predict`` + ``update`` that
+:class:`~repro.branch.predictor.BranchPredictionUnit` calls for every
+dynamic conditional branch.  ``predict(pc) -> bool`` and
+``update(pc, taken)`` stay as the reference it is tested against.
 """
 
 from __future__ import annotations

@@ -101,7 +101,6 @@ class UopCacheConfig:
     clasp_max_lines: int = 2          # max contiguous I-cache lines fused per entry
     compaction: CompactionPolicy = CompactionPolicy.NONE
     max_entries_per_line: int = 2     # only meaningful when compaction != NONE
-    accumulation_buffer_entries: int = 4
 
     def __post_init__(self) -> None:
         _require(self.num_sets >= 1 and (self.num_sets & (self.num_sets - 1)) == 0,
@@ -119,8 +118,6 @@ class UopCacheConfig:
                  "CLASP must allow at least two I-cache lines")
         _require(self.max_entries_per_line >= 1,
                  "compaction needs >= 1 entry per line")
-        _require(self.accumulation_buffer_entries >= 1,
-                 "accumulation buffer must hold >= 1 entry")
 
     @property
     def uop_bytes(self) -> int:
@@ -240,13 +237,10 @@ class MemoryHierarchyConfig:
         name="L3", size_bytes=2 * 1024 * 1024, associativity=16,
         hit_latency_cycles=35, replacement=ReplacementKind.RRIP))
     dram_latency_cycles: int = 180
-    icache_fetch_bytes_per_cycle: int = 32
     icache_prefetch: bool = True
 
     def __post_init__(self) -> None:
         _require(self.dram_latency_cycles >= 1, "DRAM latency must be >= 1")
-        _require(self.icache_fetch_bytes_per_cycle >= 1,
-                 "I-cache fetch bandwidth must be >= 1 byte/cycle")
 
 
 #: Event categories selectable in :class:`TelemetryConfig.events` (must match
@@ -269,8 +263,6 @@ class TelemetryConfig:
     events: Tuple[str, ...] = TELEMETRY_EVENT_CATEGORIES
     #: Width of the per-interval IPC/UPC sampling windows, in cycles.
     interval_cycles: int = 1024
-    #: Default capacity of in-memory ring-buffer sinks.
-    ring_buffer_capacity: int = 65536
 
     def __post_init__(self) -> None:
         _require(len(self.events) > 0,
@@ -281,8 +273,6 @@ class TelemetryConfig:
                      f"(valid: {', '.join(TELEMETRY_EVENT_CATEGORIES)})")
         _require(self.interval_cycles >= 1,
                  "telemetry interval must be >= 1 cycle")
-        _require(self.ring_buffer_capacity >= 1,
-                 "telemetry ring buffer must hold >= 1 event")
 
 
 @dataclass(frozen=True)

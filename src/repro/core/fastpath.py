@@ -4,10 +4,12 @@ A specialization of :meth:`Simulator.steps` that produces a bit-identical
 :class:`~repro.core.metrics.SimulationResult` while stripping everything the
 counters don't need.  Both loops call the same front-end methods:
 :meth:`UopCache.lookup` (its telemetry behind one ``is not None`` guard),
-:meth:`BranchPredictionUnit.observe` (the fused TAGE walk serves
-conditional branches in either loop),
 :meth:`MemoryHierarchy.fetch_instruction_line` and
-:meth:`MemoryHierarchy.access_data`.  What stays specific to this loop:
+:meth:`MemoryHierarchy.access_data`.  Neither calls the branch predictor:
+both read the trace's branch-outcome column (:func:`trace_outcomes`, one
+:func:`repro.branch.outcome_column` pass per trace and branch config,
+cached beside the views) and count branches, mispredicts and resteers
+themselves.  What stays specific to this loop:
 
 - **no telemetry** — the ``tel is not None`` tests and per-action event
   bookkeeping disappear entirely (fast mode refuses a telemetry hub at the
@@ -35,10 +37,12 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Tuple
 
+from ..branch.predictor import NOT_A_BRANCH, outcome_column
+from ..common.config import BranchPredictorConfig
 from ..isa.uop import _EXEC_LATENCY, UopKind
 from ..workloads.trace import Trace
-from .simulator import (DECODE_RESTEER_PENALTY, MISPREDICT_REDIRECT_PENALTY,
-                        Simulator)
+from .simulator import (DECODE_RESTEER, DECODE_RESTEER_PENALTY, MISPREDICT,
+                        MISPREDICT_REDIRECT_PENALTY, Simulator)
 
 #: Sentinel in a static-latency tuple marking a load that must resolve
 #: through the data hierarchy (see ``OutOfOrderBackend.admit_inst``).
@@ -55,8 +59,8 @@ class TraceView:
     """
 
     __slots__ = ("pcs", "next_pcs", "mem_addrs", "takens", "uops", "nuops",
-                 "latencies", "insts", "is_branch", "spans_line",
-                 "span_tail_pcs", "pw_firsts", "pw_lasts", "pw_ids")
+                 "latencies", "spans_line", "span_tail_pcs", "pw_firsts",
+                 "pw_lasts", "pw_ids")
 
     def __init__(self, trace: Trace, line_bytes: int,
                  max_not_taken: int) -> None:
@@ -70,14 +74,13 @@ class TraceView:
         self.uops: List[tuple] = [()] * n
         self.nuops: List[int] = [0] * n
         self.latencies: List[Tuple[int, ...]] = [()] * n
-        self.insts: List[object] = [None] * n
-        self.is_branch: List[bool] = [False] * n
         self.spans_line: List[bool] = [False] * n
         #: Last-byte address of instructions spanning an I-cache line
         #: boundary (the extra fetch probe target), else 0.
         self.span_tail_pcs: List[int] = [0] * n
 
         static: Dict[int, tuple] = {}
+        is_branch: List[bool] = [False] * n
         is_uncond: List[bool] = [False] * n
         for i, record in enumerate(records):
             pc = record.pc
@@ -90,13 +93,12 @@ class TraceView:
                     else _EXEC_LATENCY[uop.kind]
                     for uop in uops)
                 spans = inst.spans_line_boundary(line_bytes)
-                info = (inst, uops, len(uops), lats, inst.is_branch,
+                info = (uops, len(uops), lats, inst.is_branch,
                         inst.end_address, spans,
                         inst.end_address - 1 if spans else 0,
                         inst.is_unconditional_transfer)
                 static[pc] = info
-            inst, uops, nuops, lats, is_br, end_addr, spans, tail, \
-                uncond = info
+            uops, nuops, lats, is_br, end_addr, spans, tail, uncond = info
             self.pcs[i] = pc
             self.next_pcs[i] = record.next_pc
             self.mem_addrs[i] = record.mem_addr
@@ -104,8 +106,7 @@ class TraceView:
             self.uops[i] = uops
             self.nuops[i] = nuops
             self.latencies[i] = lats
-            self.insts[i] = inst
-            self.is_branch[i] = is_br
+            is_branch[i] = is_br
             self.spans_line[i] = spans
             self.span_tail_pcs[i] = tail
             is_uncond[i] = uncond
@@ -119,7 +120,6 @@ class TraceView:
         pcs = self.pcs
         next_pcs = self.next_pcs
         takens = self.takens
-        is_branch = self.is_branch
         index = 0
         while index < n:
             first = index
@@ -154,6 +154,13 @@ class TraceView:
 _VIEW_CACHE: "weakref.WeakKeyDictionary[Trace, Dict[Tuple[int, int], TraceView]]" = \
     weakref.WeakKeyDictionary()
 
+#: Branch-outcome columns (:func:`repro.branch.outcome_column`), beside the
+#: views: per trace, keyed by the whole branch config.  Every design of a
+#: sweep over one trace reads one column, so the predictor runs once per
+#: trace, not once per design.
+_OUTCOME_CACHE: "weakref.WeakKeyDictionary[Trace, Dict[BranchPredictorConfig, bytes]]" = \
+    weakref.WeakKeyDictionary()
+
 
 def trace_view(trace: Trace, line_bytes: int, max_not_taken: int) -> TraceView:
     """The (possibly cached) :class:`TraceView` for one trace/config pair."""
@@ -169,16 +176,31 @@ def trace_view(trace: Trace, line_bytes: int, max_not_taken: int) -> TraceView:
     return view
 
 
+def trace_outcomes(trace: Trace, config: BranchPredictorConfig) -> bytes:
+    """The (possibly cached) branch-outcome column of ``trace``."""
+    per_trace = _OUTCOME_CACHE.get(trace)
+    if per_trace is None:
+        per_trace = {}
+        _OUTCOME_CACHE[trace] = per_trace
+    column = per_trace.get(config)
+    if column is None:
+        column = outcome_column(trace, config)
+        per_trace[config] = column
+    return column
+
+
 def release_views(keep: Optional[Trace] = None) -> None:
-    """Drop the cached views of every trace but ``keep``.
+    """Drop the cached views and outcome columns of every trace but
+    ``keep``.
 
     For callers that know they are done with the other traces: without
     this, views live as long as their traces stay in the experiment
     layer's trace LRU.
     """
-    for trace in list(_VIEW_CACHE.keys()):
-        if trace is not keep:
-            del _VIEW_CACHE[trace]
+    for cache in (_VIEW_CACHE, _OUTCOME_CACHE):
+        for trace in list(cache.keys()):
+            if trace is not keep:
+                del cache[trace]
 
 
 class FastPath:
@@ -202,7 +224,6 @@ class FastPath:
         oc = sim.uop_cache
         accumulator = sim.accumulator
         backend = sim.backend
-        bpu = sim.bpu
         loop_cache = sim.loop_cache
         hierarchy = sim.hierarchy
         decoder_power = sim.decoder_power
@@ -226,8 +247,7 @@ class FastPath:
         uops_arr = view.uops
         nuops = view.nuops
         lats_arr = view.latencies
-        insts = view.insts
-        is_branch = view.is_branch
+        outcomes = sim.branch_outcomes
         spans_line = view.spans_line
         span_tails = view.span_tail_pcs
 
@@ -235,7 +255,6 @@ class FastPath:
         oc_lookup = oc.lookup
         oc_fill = oc.fill
         admit_inst = backend.admit_inst
-        observe_branch = bpu.observe
         acc_flush = accumulator.flush
         acc_push = accumulator.push
         acc_begin = accumulator.begin
@@ -256,7 +275,9 @@ class FastPath:
         uops_from_oc = sim._uops_from_oc
         uops_from_ic = sim._uops_from_ic
         seq_run_uops = sim._seq_run_uops
+        branches = sim._branches
         mispredicts = sim._mispredicts
+        resteers = sim._resteers
         mispredict_latency_sum = sim._mispredict_latency_sum
         fe_cycles_oc = sim.fe_cycles_oc
         fe_cycles_ic = sim.fe_cycles_ic
@@ -273,7 +294,9 @@ class FastPath:
             sim._uops_from_oc = uops_from_oc
             sim._uops_from_ic = uops_from_ic
             sim._seq_run_uops = seq_run_uops
+            sim._branches = branches
             sim._mispredicts = mispredicts
+            sim._resteers = resteers
             sim._mispredict_latency_sum = mispredict_latency_sum
             sim.fe_cycles_oc = fe_cycles_oc
             sim.fe_cycles_ic = fe_cycles_ic
@@ -324,7 +347,9 @@ class FastPath:
                     cursor, limit, fe_cycle, pw_fetch_cycle)
                 instructions_done = sim._instructions_done
                 seq_run_uops = sim._seq_run_uops
+                branches = sim._branches
                 mispredicts = sim._mispredicts
+                resteers = sim._resteers
                 mispredict_latency_sum = sim._mispredict_latency_sum
                 if redirect > fe_cycle:
                     fe_cycles_redirect += redirect - fe_cycle
@@ -356,10 +381,10 @@ class FastPath:
                     instructions_done += 1
                     cursor += 1
                     taken = takens[idx]
-                    if is_branch[idx]:
-                        outcome = observe_branch(insts[idx], taken,
-                                                 next_pcs[idx])
-                        if outcome == 2:
+                    outcome = outcomes[idx]
+                    if outcome != NOT_A_BRANCH:
+                        branches += 1
+                        if outcome == MISPREDICT:
                             mispredicts += 1
                             delta = complete - pw_fetch_cycle
                             if delta > 0:
@@ -367,7 +392,8 @@ class FastPath:
                             redirect = complete + MISPREDICT_REDIRECT_PENALTY
                             seq_run_uops = 0
                             break
-                        if outcome == 1:
+                        if outcome == DECODE_RESTEER:
+                            resteers += 1
                             redirect = fe_cycle + 1 + DECODE_RESTEER_PENALTY
                             if taken:
                                 if loop_enabled:
@@ -413,10 +439,10 @@ class FastPath:
                     for sealed in acc_push(uops_arr[idx], taken):
                         oc_fill(sealed)
                         pw_entry_count += 1
-                    if is_branch[idx]:
-                        outcome = observe_branch(insts[idx], taken,
-                                                 next_pcs[idx])
-                        if outcome == 2:
+                    outcome = outcomes[idx]
+                    if outcome != NOT_A_BRANCH:
+                        branches += 1
+                        if outcome == MISPREDICT:
                             mispredicts += 1
                             delta = complete - pw_fetch_cycle
                             if delta > 0:
@@ -424,7 +450,8 @@ class FastPath:
                             redirect = complete + MISPREDICT_REDIRECT_PENALTY
                             seq_run_uops = 0
                             break
-                        if outcome == 1:
+                        if outcome == DECODE_RESTEER:
+                            resteers += 1
                             redirect = (fe_cycle + fetch_latency +
                                         slot // decode_bw +
                                         DECODE_RESTEER_PENALTY)

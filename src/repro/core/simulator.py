@@ -18,11 +18,14 @@ Model outline (see DESIGN.md for rationale):
   the hierarchy, with next-line prefetch), 4-wide decode with a 3-cycle
   decode latency, decoder energy accounting, and entry accumulation + uop
   cache fill.
-- Every dynamic branch consults the branch prediction unit.  A BTB-type
-  resteer adds a fixed decode-redirect bubble.  A misprediction stalls
-  fetch until the branch's *resolution* (its completion in the back-end)
-  plus a redirect penalty — so uops fed from the shorter uop-cache path
-  resolve earlier, reproducing the paper's latency benefit.
+- Every dynamic branch reads its outcome from the trace's branch-outcome
+  column (:func:`~repro.branch.predictor.outcome_column`).  The predictor
+  sees neither timing nor uop-cache state, so one pass per trace and
+  branch config serves every simulator of that trace.  A BTB-type resteer
+  adds a fixed decode-redirect bubble.  A misprediction stalls fetch
+  until the branch's *resolution* (its completion in the back-end) plus a
+  redirect penalty — so uops fed from the shorter uop-cache path resolve
+  earlier, reproducing the paper's latency benefit.
 - The back-end (ROB/queue occupancy, width limits) timestamps every uop;
   UPC and dispatch bandwidth come from its counters.
 """
@@ -32,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..backend.core import OutOfOrderBackend
-from ..branch.predictor import BranchPredictionUnit, PredictionOutcome
+from ..branch.predictor import NOT_A_BRANCH, PredictionOutcome
 from ..branch.window import PredictionWindowBuilder
 from ..caches.hierarchy import MemoryHierarchy
 from ..common.config import SimulatorConfig
@@ -52,6 +55,11 @@ from .metrics import SimulationResult
 #: Fixed front-end penalties (cycles).
 MISPREDICT_REDIRECT_PENALTY = 2   # flush + refetch overhead beyond resolution
 DECODE_RESTEER_PENALTY = 3        # BTB-miss redirect discovered at decode
+
+#: Outcome-column values the serve loops test, as plain ints: a column
+#: byte reads as an ``int``, so compare with ``==`` (``is`` never matches).
+MISPREDICT = int(PredictionOutcome.MISPREDICT)
+DECODE_RESTEER = int(PredictionOutcome.DECODE_RESTEER)
 
 #: Strict mode: fetch actions between full invariant sweeps (the per-action
 #: monotonicity check is always on; the structural checks walk the whole uop
@@ -105,7 +113,11 @@ class Simulator:
         self.accumulator = AccumulationBuffer(cfg.uop_cache,
                                               icache_line_bytes=line_bytes,
                                               telemetry=telemetry)
-        self.bpu = BranchPredictionUnit(cfg.branch)
+        # Imported here: fastpath imports from this module.
+        from .fastpath import trace_outcomes
+        #: One byte per trace record (see repro.branch.outcome_column),
+        #: shared with every simulator of this trace and branch config.
+        self.branch_outcomes = trace_outcomes(trace, cfg.branch)
         self.loop_cache = LoopCache(cfg.loop_cache, telemetry=telemetry)
         self.backend = OutOfOrderBackend(cfg.core, self.hierarchy)
         self.decoder_power = shared_decoder_power or \
@@ -119,7 +131,9 @@ class Simulator:
         self._uops_from_oc = 0
         self._uops_from_ic = 0
         self._uops_from_loop = 0
+        self._branches = 0
         self._mispredicts = 0
+        self._resteers = 0
         self._mispredict_latency_sum = 0
         self._instructions_done = 0
         #: Uops admitted since the last taken branch (approximates the body
@@ -299,9 +313,9 @@ class Simulator:
             "oc_evicted_entries": oc.evicted_entries,
             "oc_invalidated_entries": oc.invalidated_entries,
             "bypassed_uops": self.accumulator.bypassed_uops,
-            "branches": self.bpu.branches,
+            "branches": self._branches,
             "mispredicts": self._mispredicts,
-            "resteers": self.bpu.decode_resteers,
+            "resteers": self._resteers,
         }
         for kind, count in self.uop_cache.fill_kind_counts.items():
             counters[f"fill_{kind.value}"] = count
@@ -431,6 +445,7 @@ class Simulator:
         trace = self.trace
         program = trace.program
         records = trace.records
+        outcomes = self.branch_outcomes
         backend = self.backend
         loop_cache = self.loop_cache
         target = loop_cache.active_target
@@ -460,12 +475,13 @@ class Simulator:
             self._seq_run_uops += len(uops)
             uops_served += len(uops)
             self._instructions_done += 1
+            outcome = outcomes[cursor]
             cursor += 1
 
             taken = record.next_pc != inst.end_address
-            if inst.is_branch:
-                outcome = self.bpu.observe(inst, taken, record.next_pc)
-                if outcome is PredictionOutcome.MISPREDICT:
+            if outcome != NOT_A_BRANCH:
+                self._branches += 1
+                if outcome == MISPREDICT:
                     resolve = timing.complete if timing else arrival
                     self._mispredicts += 1
                     self._mispredict_latency_sum += max(
@@ -474,6 +490,10 @@ class Simulator:
                     observe_other()
                     self._seq_run_uops = 0
                     break
+                if outcome == DECODE_RESTEER:
+                    # Counted, but the loop buffer streams on: it holds the
+                    # target already.
+                    self._resteers += 1
             if taken:
                 if pc == branch_pc and record.next_pc == target:
                     loop_cache.observe_taken_branch(
@@ -496,6 +516,7 @@ class Simulator:
         trace = self.trace
         program = trace.program
         records = trace.records
+        outcomes = self.branch_outcomes
         backend = self.backend
         arrival = fe_cycle + oc_latency
         admit = backend.admit
@@ -519,11 +540,12 @@ class Simulator:
                 mem = mem_addr if uop.kind is load_kind else None
                 timing = admit(uop, arrival, mem)
             self._instructions_done += 1
+            outcome = outcomes[cursor]
             cursor += 1
             taken = record.next_pc != inst.end_address
-            if inst.is_branch:
-                outcome = self.bpu.observe(inst, taken, record.next_pc)
-                if outcome is PredictionOutcome.MISPREDICT:
+            if outcome != NOT_A_BRANCH:
+                self._branches += 1
+                if outcome == MISPREDICT:
                     resolve = timing.complete if timing else arrival
                     self._mispredicts += 1
                     self._mispredict_latency_sum += max(
@@ -531,7 +553,8 @@ class Simulator:
                     redirect = resolve + MISPREDICT_REDIRECT_PENALTY
                     self._seq_run_uops = 0
                     break
-                if outcome is PredictionOutcome.DECODE_RESTEER:
+                if outcome == DECODE_RESTEER:
+                    self._resteers += 1
                     redirect = fe_cycle + 1 + DECODE_RESTEER_PENALTY
                     if taken:
                         note_taken(pc, record.next_pc)
@@ -555,6 +578,7 @@ class Simulator:
         trace = self.trace
         program = trace.program
         records = trace.records
+        outcomes = self.branch_outcomes
         backend = self.backend
         oc = self.uop_cache
         accumulator = self.accumulator
@@ -594,6 +618,7 @@ class Simulator:
             self._instructions_done += 1
             decoded += 1
             slot += 1
+            outcome = outcomes[cursor]
             cursor += 1
 
             taken = record.next_pc != inst.end_address
@@ -601,9 +626,9 @@ class Simulator:
                 oc_fill(entry)
                 sealed_count += 1
 
-            if inst.is_branch:
-                outcome = self.bpu.observe(inst, taken, record.next_pc)
-                if outcome is PredictionOutcome.MISPREDICT:
+            if outcome != NOT_A_BRANCH:
+                self._branches += 1
+                if outcome == MISPREDICT:
                     resolve = timing.complete if timing else arrival
                     self._mispredicts += 1
                     self._mispredict_latency_sum += max(
@@ -611,7 +636,8 @@ class Simulator:
                     redirect = resolve + MISPREDICT_REDIRECT_PENALTY
                     self._seq_run_uops = 0
                     break
-                if outcome is PredictionOutcome.DECODE_RESTEER:
+                if outcome == DECODE_RESTEER:
+                    self._resteers += 1
                     redirect = (fe_cycle + fetch_latency +
                                 slot // decode_bw + DECODE_RESTEER_PENALTY)
                     if taken:
@@ -652,9 +678,9 @@ class Simulator:
             "oc_hits": oc.hits,
             "oc_misses": oc.misses,
             "oc_fills": oc.fills,
-            "branches": self.bpu.branches,
+            "branches": self._branches,
             "mispredicts": self._mispredicts,
-            "resteers": self.bpu.decode_resteers,
+            "resteers": self._resteers,
             "mispredict_latency_sum": self._mispredict_latency_sum,
             "fe_cycles_oc": self.fe_cycles_oc,
             "fe_cycles_ic": self.fe_cycles_ic,
@@ -696,10 +722,9 @@ class Simulator:
         result.compacted_line_fraction = oc.compacted_line_fraction()
         result.entries_per_pw_histogram = self._entries_per_pw
         result.uop_cache_utilization = oc.utilization()
-        result.branches = self.bpu.branches - base("branches", 0)
+        result.branches = self._branches - base("branches", 0)
         result.branch_mispredicts = self._mispredicts - base("mispredicts", 0)
-        result.decode_resteers = \
-            self.bpu.decode_resteers - base("resteers", 0)
+        result.decode_resteers = self._resteers - base("resteers", 0)
         result.mispredict_latency_sum = \
             self._mispredict_latency_sum - base("mispredict_latency_sum", 0)
         result.fe_cycles_uop_cache = self.fe_cycles_oc - base("fe_cycles_oc", 0)

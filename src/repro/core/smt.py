@@ -10,14 +10,15 @@ to the *other* thread, so replacement-aware compaction mixes unrelated
 entries into one replacement unit; PW-aware compaction keeps each PW's
 (hence each thread's) entries together.
 
-Model: each hardware thread runs its own front-end context (branch
-predictors, accumulation buffer, uop queue, back-end) over its own trace;
-the **uop cache, the cache hierarchy and the decoder energy model are
-shared**.  The coordinator interleaves thread fetch actions in global
-front-end-cycle order, which time-orders their accesses to the shared
-structures.  Decoder port arbitration is not modeled (both threads may
-decode in the same cycle); the study target is capacity/placement
-interference in the uop cache, which this captures.
+Model: each hardware thread runs its own front-end context over its own
+trace: branch outcomes (its trace's outcome column, so one predictor pass
+per thread), accumulation buffer, uop queue and back-end.  The **uop
+cache, the cache hierarchy and the decoder energy model are shared**.
+The coordinator interleaves thread fetch actions in global front-end-cycle
+order, which time-orders their accesses to the shared structures.  Decoder
+port arbitration is not modeled (both threads may decode in the same
+cycle); the study target is capacity/placement interference in the uop
+cache, which this captures.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ Re-implements the *architectural* half of :class:`repro.core.simulator
 .Simulator.steps` — which records are served from which supply path, what
 the accumulation buffer seals, what the uop cache does — without any of the
 timing machinery (cycles, latencies, backpressure, the back-end).  Branch
-outcomes are not predicted here: the differential runner pre-resolves the
-trace through one deterministic :class:`BranchPredictionUnit` pass and hands
-this model a plain per-record outcome string, so the reference shares no
-predictor code with the engine under test (outcomes are a path-independent
-function of the record stream; see ``repro/oracle/runner.py``).
+outcomes are not predicted here: the differential runner maps the trace's
+branch-outcome column (:func:`repro.branch.outcome_column`, one predictor
+pass in trace order) to a plain per-record outcome string, so the
+reference shares no predictor code with the engine under test.  The
+optimized simulator reads the same column, so the predictor pass itself is
+checked by tests/test_branch_outcomes.py, not by this differential.
 
 Intentionally NOT modelled (documented in DESIGN.md section 11): fetch/decode
 cycle timing, the loop cache (the reference refuses loop-enabled configs),
@@ -25,7 +26,7 @@ from ..workloads.trace import Trace
 from .reference import ReferenceAccumulator, ReferenceUopCache
 
 #: Per-record outcome labels the runner feeds us (one per PredictionOutcome
-#: plus "none" for non-branch records).
+#: plus "none" for non-branch records, the column's NOT_A_BRANCH).
 OUTCOME_NONE = "none"
 OUTCOME_CORRECT = "correct"
 OUTCOME_RESTEER = "decode-resteer"

@@ -9,11 +9,12 @@ raises (or records) a structured :class:`OracleDivergence` naming the action,
 the counter, both values, and the last N telemetry events the optimized side
 emitted before the split.
 
-Branch outcomes are resolved once, up front, through a dedicated
-:class:`BranchPredictionUnit`: the unit is deterministic per instance and
-observes records in trace order regardless of serving path, so the resulting
-per-record outcome stream is path-independent and can be shared by both
-models without the reference touching predictor code.
+Branch outcomes come from the trace's branch-outcome column
+(:func:`repro.branch.outcome_column`, one predictor pass in trace order).
+The optimized simulator reads the same cached column, so this differential
+does not check the predictor pass; tests/test_branch_outcomes.py checks the
+column against a live :class:`BranchPredictionUnit` instead.  The reference
+gets the column as per-record labels and touches no predictor code.
 
 Optional SMC probes (self-modifying-code invalidations) are applied to both
 caches at identical action boundaries from a seeded, trace-derived schedule,
@@ -27,7 +28,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence
 
-from ..branch.predictor import BranchPredictionUnit
 from ..branch.window import PredictionWindowBuilder
 from ..common.config import SimulatorConfig
 from ..common.errors import CacheError, OracleError, SimulationError
@@ -104,25 +104,22 @@ class DiffReport:
         return self.divergence is None
 
 
-#: Oracle label of each :class:`PredictionOutcome`, indexed by its value.
-_OUTCOME_LABELS = (OUTCOME_CORRECT, OUTCOME_RESTEER, OUTCOME_MISPREDICT)
+#: Oracle label of each outcome-column value (the three
+#: :class:`PredictionOutcome` values, then ``NOT_A_BRANCH``).
+_OUTCOME_LABELS = (OUTCOME_CORRECT, OUTCOME_RESTEER, OUTCOME_MISPREDICT,
+                   OUTCOME_NONE)
 
 
 def resolve_branch_outcomes(trace: Trace, config: SimulatorConfig,
                             limit: Optional[int] = None) -> List[str]:
-    """Per-record branch outcome labels from one deterministic BPU pass."""
-    bpu = BranchPredictionUnit(config.branch)
-    program = trace.program
-    outcomes: List[str] = []
-    for record in trace.records[:limit]:
-        inst = program.at(record.pc)
-        if not inst.is_branch:
-            outcomes.append(OUTCOME_NONE)
-            continue
-        taken = record.next_pc != inst.end_address
-        outcomes.append(
-            _OUTCOME_LABELS[bpu.observe(inst, taken, record.next_pc)])
-    return outcomes
+    """Per-record branch outcome labels: the trace's cached outcome column
+    (the one the simulator reads), mapped to the oracle's labels."""
+    # Imported here, as the simulator does, to keep the fast loop out of
+    # start-up.
+    from ..core.fastpath import trace_outcomes
+    labels = _OUTCOME_LABELS
+    return [labels[outcome]
+            for outcome in trace_outcomes(trace, config.branch)[:limit]]
 
 
 def _first_mismatch(reference: Dict[str, int],
@@ -180,7 +177,7 @@ def _result_coverage(sim: Simulator) -> FrozenSet[str]:
         signals.add("behavior:clasp-span")
     if sim._mispredicts:
         signals.add("behavior:mispredict")
-    if sim.bpu.decode_resteers:
+    if sim._resteers:
         signals.add("behavior:resteer")
     if sim._uops_from_loop:
         signals.add("behavior:loop-cache")

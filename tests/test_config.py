@@ -65,7 +65,6 @@ class TestTableIDefaults:
         assert mem.l2.size_bytes == 512 * 1024
         assert mem.l3.size_bytes == 2 * 1024 * 1024
         assert mem.l3.replacement is ReplacementKind.RRIP
-        assert mem.icache_fetch_bytes_per_cycle == 32
 
     def test_l1i_set_count(self):
         assert MemoryHierarchyConfig().l1i.num_sets == 64

@@ -199,7 +199,8 @@ class TestSharedModelCache:
 class TestX1Drill:
     @pytest.mark.parametrize("rel, anchor", [
         ("core/simulator.py", "self._mispredicts += 1"),
-        ("branch/predictor.py", "self.branches += 1"),
+        ("branch/predictor.py",
+         "predicted_taken = self.tage.observe(address, taken)"),
         ("backend/core.py", "self.busy_cycles += 1"),
         ("power/decoder.py", "self.insts_decoded += num_insts"),
         ("caches/setassoc.py", "self.hits += 1"),

@@ -4,10 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.branch.predictor import BranchPredictionUnit, PredictionOutcome
+from repro.branch.predictor import (NOT_A_BRANCH, PredictionOutcome,
+                                    outcome_column)
 from repro.common.config import BranchPredictorConfig, baseline_config
 from repro.core.simulator import simulate
-from repro.isa.instruction import BranchKind, InstClass, X86Instruction
 from repro.workloads.generator import WorkloadProfile, generate_workload
 
 PROFILE = WorkloadProfile(name="perfect-test", num_functions=20,
@@ -27,24 +27,25 @@ def trace():
 
 
 class TestPerfectUnit:
-    def test_never_mispredicts(self):
-        bpu = BranchPredictionUnit(BranchPredictorConfig(perfect=True))
-        ret = X86Instruction(address=0x100, length=1,
-                             inst_class=InstClass.RET, uop_count=2,
-                             branch_kind=BranchKind.RET)
-        # Cold return with empty RAS would normally mispredict.
-        outcome = bpu.observe(ret, True, 0x9999)
-        assert outcome is PredictionOutcome.CORRECT
-        assert bpu.mispredicts == 0
+    """Perfect prediction is an all-correct branch-outcome column."""
 
-    def test_still_counts_branches(self):
-        bpu = BranchPredictionUnit(BranchPredictorConfig(perfect=True))
-        jump = X86Instruction(address=0x100, length=2,
-                              inst_class=InstClass.BRANCH, uop_count=1,
-                              branch_kind=BranchKind.UNCONDITIONAL,
-                              branch_target=0x200)
-        bpu.observe(jump, True, 0x200)
-        assert bpu.branches == 1
+    def test_never_mispredicts(self, trace):
+        column = outcome_column(trace, BranchPredictorConfig(perfect=True))
+        assert PredictionOutcome.MISPREDICT not in column
+        assert PredictionOutcome.DECODE_RESTEER not in column
+        # A real predictor does mispredict and resteer on this trace.
+        real = outcome_column(trace, BranchPredictorConfig())
+        assert PredictionOutcome.MISPREDICT in real
+        assert PredictionOutcome.DECODE_RESTEER in real
+
+    def test_still_counts_branches(self, trace):
+        branches = sum(trace.program.at(record.pc).is_branch
+                       for record in trace.records)
+        column = outcome_column(trace, BranchPredictorConfig(perfect=True))
+        assert column.count(PredictionOutcome.CORRECT) == branches
+        assert column.count(NOT_A_BRANCH) == len(trace.records) - branches
+        assert simulate(trace, perfect_config(), "perfect").branches == \
+            branches
 
 
 class TestPerfectSimulation:

@@ -138,18 +138,3 @@ class TestAccounting:
                              uop_count=1)
         with pytest.raises(ValueError):
             bpu.observe(alu, False, 0x3)
-
-    def test_counters(self):
-        bpu = BranchPredictionUnit()
-        inst = branch(0x1000, BranchKind.UNCONDITIONAL, 0x4000)
-        bpu.observe(inst, True, 0x4000)   # resteer
-        bpu.observe(inst, True, 0x4000)   # correct
-        assert bpu.branches == 2
-        assert bpu.decode_resteers == 1
-        assert bpu.mispredicts == 0
-
-    def test_mpki(self):
-        bpu = BranchPredictionUnit()
-        ret = branch(0x4010, BranchKind.RET)
-        bpu.observe(ret, True, 0x1005)
-        assert bpu.mpki(1000) == pytest.approx(1.0)

@@ -344,8 +344,6 @@ def test_telemetry_config_validation():
         TelemetryConfig(events=())
     with pytest.raises(ConfigError):
         TelemetryConfig(interval_cycles=0)
-    with pytest.raises(ConfigError):
-        TelemetryConfig(ring_buffer_capacity=0)
 
 
 # --------------------------------------------------------------------------
