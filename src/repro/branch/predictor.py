@@ -131,10 +131,11 @@ def outcome_column(trace: Trace, config: BranchPredictorConfig) -> bytes:
 
     A branch record holds its :class:`PredictionOutcome` value and any
     other record :data:`NOT_A_BRANCH`.  One :class:`BranchPredictionUnit`
-    observes the branch records in trace order, as every serve path used
-    to, so outcome *i* depends only on records 0..*i*: the column of a
-    trace prefix is the prefix of this column.  Under ``config.perfect``
-    every branch is ``CORRECT`` and no unit is built.
+    observes the branch records in trace order, the order in which every
+    serve path consumes them, so outcome *i* depends only on records
+    0..*i*: the column of a trace prefix is the prefix of this column.
+    Under ``config.perfect`` every branch is ``CORRECT`` and no unit is
+    built.
     """
     program = trace.program
     records = trace.records
