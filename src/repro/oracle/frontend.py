@@ -4,12 +4,10 @@ Re-implements the *architectural* half of :class:`repro.core.simulator
 .Simulator.steps` — which records are served from which supply path, what
 the accumulation buffer seals, what the uop cache does — without any of the
 timing machinery (cycles, latencies, backpressure, the back-end).  Branch
-outcomes are not predicted here: the differential runner maps the trace's
-branch-outcome column (:func:`repro.branch.outcome_column`, one predictor
-pass in trace order) to a plain per-record outcome string, so the
-reference shares no predictor code with the engine under test.  The
-optimized simulator reads the same column, so the predictor pass itself is
-checked by tests/test_branch_outcomes.py, not by this differential.
+outcomes are not predicted here: the differential runner hands this model
+the trace's branch-outcome column as plain per-record outcome strings (see
+``repro/oracle/runner.py``), so the reference shares no predictor code with
+the engine under test.
 
 Intentionally NOT modelled (documented in DESIGN.md section 11): fetch/decode
 cycle timing, the loop cache (the reference refuses loop-enabled configs),

@@ -117,8 +117,7 @@ def resolve_branch_outcomes(trace: Trace, config: SimulatorConfig,
     # Imported here, as the simulator does, to keep the fast loop out of
     # start-up.
     from ..core.fastpath import trace_outcomes
-    labels = _OUTCOME_LABELS
-    return [labels[outcome]
+    return [_OUTCOME_LABELS[outcome]
             for outcome in trace_outcomes(trace, config.branch)[:limit]]
 
 

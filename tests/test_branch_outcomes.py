@@ -14,6 +14,7 @@ predictor pass itself.  This file is that check:
 - the column of a trace prefix is the prefix of the full column, so a run
   with ``max_instructions`` below the trace length reads valid outcomes;
 - ``release_views`` drops the columns with the views;
+- every serve path counts each outcome it consumes exactly once;
 - each simulator, and each SMT thread, reads its own trace's column.
 """
 
@@ -25,9 +26,11 @@ from hypothesis import strategies as st
 
 from repro.branch import (NOT_A_BRANCH, BranchPredictionUnit,
                           PredictionOutcome, outcome_column)
-from repro.common.config import BranchPredictorConfig, baseline_config
+from repro.common.config import (BranchPredictorConfig, LoopCacheConfig,
+                                 baseline_config)
 from repro.core import fastpath
 from repro.core.fastpath import release_views, trace_outcomes
+from repro.core.experiment import workload_trace
 from repro.core.simulator import Simulator
 from repro.core.smt import SmtSimulator
 from repro.workloads.engine import create_engine
@@ -130,6 +133,32 @@ def test_release_views_drops_every_column_but_keeps():
     assert trace_outcomes(keep, BranchPredictorConfig()) is column
     release_views()
     assert len(fastpath._OUTCOME_CACHE) == 0
+
+
+#: A predictor small enough to alias everywhere: the loop buffer then
+#: streams branches that resolve as decode resteers (on bm-ds at 10,000
+#: instructions it counts 10 of the run's 63), which the default predictor
+#: never produces there.
+TINY_PREDICTOR = BranchPredictorConfig(num_tagged_tables=1,
+                                       table_entries_log2=1,
+                                       base_entries_log2=1, btb_entries=4)
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["stepped", "fast"])
+@pytest.mark.parametrize("loop", [False, True], ids=["no-loop", "loop"])
+def test_every_path_counts_each_outcome_once(loop, fast):
+    trace = workload_trace("bm-ds", 10_000)
+    config = dataclasses.replace(
+        baseline_config(512), branch=TINY_PREDICTOR,
+        loop_cache=LoopCacheConfig(enabled=loop), fast_mode=fast)
+    result = Simulator(trace, config, "b").run()
+    column = trace_outcomes(trace, TINY_PREDICTOR)
+    assert (result.uops_from_loop_cache > 0) == loop
+    assert result.branches == len(column) - column.count(NOT_A_BRANCH)
+    assert result.branch_mispredicts == \
+        column.count(PredictionOutcome.MISPREDICT)
+    assert result.decode_resteers == \
+        column.count(PredictionOutcome.DECODE_RESTEER)
 
 
 def test_simulators_share_one_column_per_trace():
