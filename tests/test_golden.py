@@ -166,5 +166,6 @@ def test_golden_files_have_no_strays():
                  for e, d, _ in ENGINE_GOLDEN_RUNS}
     expected.add("program_images.json")     # tests/test_program_images.py
     expected.add("stepped_runs.json")       # tests/test_stepped_runs.py
+    expected.add("job_keys.json")           # tests/test_job_keys.py
     present = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert present == expected
