@@ -89,9 +89,6 @@ class TagePredictor:
         #: The fast path XORs the live folded history into these, which is
         #: exact because the hash combines its terms purely by XOR.
         self._pc_statics: Dict[int, Tuple[int, ...]] = {}
-        # Stats for tests / reports.
-        self.predictions = 0
-        self.mispredictions = 0
 
     # -- configuration ------------------------------------------------------
 
@@ -186,9 +183,6 @@ class TagePredictor:
         """Update with the resolved outcome; returns True on misprediction."""
         prediction = self.predict(pc)
         mispredicted = prediction != taken
-        self.predictions += 1
-        if mispredicted:
-            self.mispredictions += 1
 
         provider, alt, _, _ = self._lookup(pc)
         if provider is not None:
@@ -308,9 +302,6 @@ class TagePredictor:
                 prediction = counter >= 0
 
         mispredicted = prediction != taken
-        self.predictions += 1
-        if mispredicted:
-            self.mispredictions += 1
 
         # Update (mirrors update()).
         if provider >= 0:
@@ -407,10 +398,6 @@ class TagePredictor:
             self._tag_folds_b[table].update(new_bit, dropped)
         if len(history) > max_needed + 1:
             del history[:-max_needed - 1]
-
-    @property
-    def misprediction_rate(self) -> float:
-        return self.mispredictions / self.predictions if self.predictions else 0.0
 
 
 def _update_signed(counter: int, taken: bool, lo: int, hi: int) -> int:

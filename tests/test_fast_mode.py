@@ -154,8 +154,6 @@ def _tage_state(tage):
         "history": tage._history_bits,
         "folds": [[fold.value for fold in triple]
                   for triple in tage._fold_triples],
-        "predictions": tage.predictions,
-        "mispredictions": tage.mispredictions,
     }
 
 

@@ -124,10 +124,3 @@ class TestLearning:
         hits = sum(1 for pc, d in branches.items() if tage.predict(pc) == d)
         assert hits >= 190
 
-    def test_stats_counted(self):
-        tage = TagePredictor(small_config())
-        for i in range(10):
-            tage.update(0x6000, True)
-        assert tage.predictions == 10
-        assert 0 <= tage.mispredictions <= 10
-        assert 0.0 <= tage.misprediction_rate <= 1.0
