@@ -28,7 +28,7 @@ from .core.experiment import (
 from .core.metrics import SimulationResult
 from .core.simulator import Simulator, simulate
 from .core.smt import SmtSimulator, simulate_smt
-from .runner import FaultPlan, RunnerConfig, SweepJob, SweepReport, SweepRunner
+from .runner import FaultPlan, JobSpec, RunnerConfig, SweepReport, SweepRunner
 from .workloads.generator import Workload, WorkloadProfile, generate_workload
 from .workloads.suite import WORKLOAD_NAMES, get_workload
 
@@ -37,12 +37,12 @@ __version__ = "1.0.0"
 __all__ = [
     "CompactionPolicy",
     "FaultPlan",
+    "JobSpec",
     "RunnerConfig",
     "SimulationResult",
     "Simulator",
     "SimulatorConfig",
     "SmtSimulator",
-    "SweepJob",
     "SweepReport",
     "SweepRunner",
     "WORKLOAD_NAMES",

@@ -33,12 +33,15 @@ from typing import List, Optional, Sequence
 from .analysis.charts import render_grouped_bars
 from .analysis.report import render_result
 from .analysis.tables import render_table, render_table1, render_table2
-from .common.config import SimulatorConfig, TelemetryConfig
+from .common.config import (
+    POLICY_LABELS,
+    SimulatorConfig,
+    TelemetryConfig,
+    policy_config,
+)
 from .core.experiment import (
     CAPACITY_SWEEP,
     DEFAULT_SEED,
-    POLICY_LABELS,
-    policy_config,
     run_capacity_sweep,
     run_policy_sweep,
     workload_trace,
@@ -55,6 +58,7 @@ from .service.cli import (
     run_serve,
 )
 from .runner.executor import RunnerConfig
+from .runner.job import JobSpec, execute_job
 from .core.smt import simulate_smt
 from .telemetry import (
     EVENT_CATEGORIES,
@@ -146,17 +150,19 @@ def _engine_trace(args, workload: str):
 
 
 def _cmd_run(args) -> int:
-    trace = _engine_trace(args, args.workload)
-    config = _build_config(args)
-    if args.fast_mode:
-        config = config.with_fast_mode()
-    result = Simulator(trace, config, args.design).run()
+    spec = JobSpec(workload=args.workload, design=args.design,
+                   capacity_uops=args.capacity,
+                   max_entries_per_line=args.max_entries,
+                   num_instructions=args.instructions,
+                   warmup_instructions=args.warmup, seed=args.seed,
+                   engine=args.engine,
+                   engine_params=engine_params_from_args(args))
+    result = execute_job(spec)
     baseline = None
     if args.compare_baseline and args.design != "baseline":
-        base_config = dataclasses.replace(
-            policy_config("baseline", args.capacity),
-            warmup_instructions=args.warmup)
-        baseline = Simulator(trace, base_config, "baseline").run()
+        # replace() keeps the old label, so name the baseline explicitly.
+        baseline = execute_job(dataclasses.replace(
+            spec, design="baseline", label="baseline"))
     print(render_result(result, baseline))
     return 0
 
@@ -315,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_arguments(run_parser)
     run_parser.add_argument("--compare-baseline", action="store_true",
                             help="also run the baseline and show deltas")
-    run_parser.add_argument("--fast-mode", action="store_true",
-                            help="counters-only fast mode (bit-identical "
-                                 "counters, no cycle accounting detail)")
     run_parser.set_defaults(func=_cmd_run)
 
     trace_parser = commands.add_parser(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .errors import ConfigError
 
@@ -344,3 +344,29 @@ def compaction_config(policy: CompactionPolicy,
     """CLASP + the given compaction policy (all paper compaction results enable CLASP)."""
     return baseline_config(capacity_uops).with_uop_cache(
         clasp=True, compaction=policy, max_entries_per_line=max_entries_per_line)
+
+
+#: The paper's designs, in its presentation order (Figs. 15-22).
+POLICY_LABELS: Tuple[str, ...] = ("baseline", "clasp", "rac", "pwac", "f-pwac")
+
+_COMPACTION_POLICIES: Dict[str, CompactionPolicy] = {
+    "rac": CompactionPolicy.RAC,
+    "pwac": CompactionPolicy.PWAC,
+    "f-pwac": CompactionPolicy.F_PWAC,
+}
+
+
+def policy_config(label: str, capacity_uops: int = 2048,
+                  max_entries_per_line: int = 2) -> SimulatorConfig:
+    """Map a paper design label to a simulator configuration.
+
+    As in the paper, all compaction configurations also enable CLASP.
+    """
+    if label == "baseline":
+        return baseline_config(capacity_uops)
+    if label == "clasp":
+        return clasp_config(capacity_uops)
+    if label not in _COMPACTION_POLICIES:
+        raise ValueError(f"unknown policy label {label!r}")
+    return compaction_config(_COMPACTION_POLICIES[label], capacity_uops,
+                             max_entries_per_line=max_entries_per_line)

@@ -18,29 +18,20 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..common.config import (
-    CompactionPolicy,
-    SimulatorConfig,
-    baseline_config,
-    clasp_config,
-    compaction_config,
-)
+# policy_config is re-exported: callers have always found it here.
+from ..common.config import POLICY_LABELS, policy_config  # noqa: F401
 from ..common.errors import ReproError
 from ..common.statistics import arithmetic_mean, geometric_mean
 from ..runner.executor import RunnerConfig, SweepReport, SweepRunner
 from ..runner.faults import FaultPlan
-from ..runner.job import SweepJob, build_capacity_jobs, build_policy_jobs
+from ..runner.job import JobSpec, build_capacity_jobs, build_policy_jobs
 from ..workloads.engine import create_engine
 from ..workloads.suite import WORKLOAD_NAMES
 from ..workloads.trace import Trace
 from .metrics import SimulationResult
-from .simulator import Simulator
 
 #: Capacities of the paper's Fig. 3/4 sweep (uops).
 CAPACITY_SWEEP = (2048, 4096, 8192, 16384, 32768, 65536)
-
-#: Policy labels in the paper's presentation order.
-POLICY_LABELS = ("baseline", "clasp", "rac", "pwac", "f-pwac")
 
 #: Default trace length per workload (dynamic instructions).  Long enough to
 #: cycle each workload's footprint through the uop cache many times, short
@@ -50,27 +41,6 @@ DEFAULT_TRACE_INSTRUCTIONS = 120_000
 #: Default RNG seed for trace generation; every sweep/CLI entry point that
 #: builds traces accepts a ``seed`` so runs are reproducible end to end.
 DEFAULT_SEED = 7
-
-
-def policy_config(label: str, capacity_uops: int = 2048,
-                  max_entries_per_line: int = 2) -> SimulatorConfig:
-    """Map a paper policy label to a simulator configuration.
-
-    As in the paper, all compaction configurations also enable CLASP.
-    """
-    if label == "baseline":
-        return baseline_config(capacity_uops)
-    if label == "clasp":
-        return clasp_config(capacity_uops)
-    policies = {
-        "rac": CompactionPolicy.RAC,
-        "pwac": CompactionPolicy.PWAC,
-        "f-pwac": CompactionPolicy.F_PWAC,
-    }
-    if label not in policies:
-        raise ValueError(f"unknown policy label {label!r}")
-    return compaction_config(policies[label], capacity_uops,
-                             max_entries_per_line=max_entries_per_line)
 
 
 _TraceKey = Tuple[str, int, int, str, Tuple[Tuple[str, object], ...]]
@@ -215,7 +185,7 @@ class SweepResult:
         return means
 
 
-def _run_jobs(jobs: Sequence[SweepJob],
+def _run_jobs(jobs: Sequence[JobSpec],
               runner: Optional[RunnerConfig],
               fault_plan: Optional[FaultPlan],
               progress: Optional[Callable[[str], None]],
@@ -292,11 +262,3 @@ def run_policy_sweep(
         jobs, runner, fault_plan, progress,
         lambda r: (f"{r.workload} {r.config_label}: upc={r.upc:.3f} "
                    f"fetch={r.oc_fetch_ratio:.3f}"))
-
-
-def run_single(workload: str, config: SimulatorConfig, label: str = "",
-               num_instructions: int = DEFAULT_TRACE_INSTRUCTIONS,
-               seed: int = DEFAULT_SEED) -> SimulationResult:
-    """Run one workload under one configuration."""
-    trace = workload_trace(workload, num_instructions, seed=seed)
-    return Simulator(trace, config, label).run()

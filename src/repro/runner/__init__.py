@@ -3,7 +3,7 @@
 Public surface::
 
     from repro.runner import (
-        SweepJob, SweepRunner, RunnerConfig, SweepReport, JobFailure,
+        JobSpec, SweepRunner, RunnerConfig, SweepReport, JobFailure,
         FaultPlan, CheckpointJournal, execute_job,
     )
 
@@ -16,7 +16,7 @@ from .checkpoint import CheckpointJournal
 from .executor import JobFailure, RunnerConfig, SweepReport, SweepRunner
 from .faults import FaultPlan
 from .job import (
-    SweepJob,
+    JobSpec,
     build_capacity_jobs,
     build_policy_jobs,
     capacity_label,
@@ -27,8 +27,8 @@ __all__ = [
     "CheckpointJournal",
     "FaultPlan",
     "JobFailure",
+    "JobSpec",
     "RunnerConfig",
-    "SweepJob",
     "SweepReport",
     "SweepRunner",
     "build_capacity_jobs",

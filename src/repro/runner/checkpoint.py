@@ -1,7 +1,7 @@
 """Crash-safe checkpoint journal for sweep runs.
 
 Every completed job is journaled as one JSON line keyed by its
-:attr:`~repro.runner.job.SweepJob.job_id`.  Durability model:
+:attr:`~repro.runner.job.JobSpec.job_id`.  Durability model:
 
 - **Append with line-level fsync.**  ``record`` appends exactly one line and
   fsyncs it, so journaling is O(1) per job regardless of sweep size and a

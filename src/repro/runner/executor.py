@@ -1,6 +1,6 @@
 """The fault-tolerant sweep executor.
 
-:class:`SweepRunner` fans :class:`~repro.runner.job.SweepJob` jobs out over
+:class:`SweepRunner` fans :class:`~repro.runner.job.JobSpec` jobs out over
 worker processes (``jobs > 1``) or runs them inline (``jobs == 1``, the
 degenerate serial case that behaves exactly like the historical sweep loop).
 Robustness model:
@@ -39,9 +39,9 @@ from ..core.metrics import SimulationResult
 from .backoff import jittered_backoff
 from .checkpoint import CheckpointJournal
 from .faults import FaultPlan
-from .job import SweepJob, execute_job
+from .job import JobSpec, execute_job
 
-ProgressFn = Callable[[SweepJob, SimulationResult], None]
+ProgressFn = Callable[[JobSpec, SimulationResult], None]
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class RunnerConfig:
     backoff_cap_seconds: float = 30.0
     checkpoint_dir: Optional[Union[str, Path]] = None
     resume: bool = False
-    strict_invariants: bool = True      # run simulations with strict checking
     poll_interval_seconds: float = 0.02
 
     def __post_init__(self) -> None:
@@ -115,7 +114,7 @@ class SweepReport:
 
 @dataclass
 class _PendingAttempt:
-    job: SweepJob
+    job: JobSpec
     attempt: int              # 0-based attempt counter
     eligible_at: float        # monotonic time before which it must not start
     order: int                # canonical position, for deterministic pops
@@ -131,13 +130,13 @@ class _RunningJob:
         self.started_at = started_at
 
 
-def _pool_worker(conn, job: SweepJob, attempt: int,
-                 fault_plan: Optional[FaultPlan], strict: bool) -> None:
+def _pool_worker(conn, job: JobSpec, attempt: int,
+                 fault_plan: Optional[FaultPlan]) -> None:
     """Run one job in a worker process; ship outcome over ``conn``."""
     try:
         if fault_plan is not None:
             fault_plan.apply(job.job_id, attempt)
-        result = execute_job(job, strict=strict)
+        result = execute_job(job)
         conn.send(("ok", result.to_dict()))
     except BaseException as error:   # ship *any* failure back to the parent
         try:
@@ -160,7 +159,7 @@ class SweepRunner:
 
     # ------------------------------------------------------------------ api
 
-    def run(self, jobs: Sequence[SweepJob]
+    def run(self, jobs: Sequence[JobSpec]
             ) -> Tuple[Dict[str, SimulationResult], SweepReport]:
         """Run every job; returns ``({job_id: result}, report)``.
 
@@ -169,7 +168,7 @@ class SweepRunner:
         parallel completion order.
         """
         cfg = self.config
-        seen: Dict[str, SweepJob] = {}
+        seen: Dict[str, JobSpec] = {}
         for job in jobs:
             if job.job_id in seen:
                 raise RunnerError(f"duplicate job id {job.job_id!r}")
@@ -198,9 +197,8 @@ class SweepRunner:
             self._run_serial(remaining, completed, report, journal)
         else:
             self._run_parallel(remaining, completed, report, journal)
-        # execute_job keeps the fast loop's views of the current trace
-        # only; a finished sweep keeps none.  (Imported here, as the
-        # simulator imports the fast loop, to keep it out of start-up.)
+        # A finished sweep keeps no fast-loop views.  (Imported here, as
+        # the simulator imports the fast loop, to keep it out of start-up.)
         from ..core.fastpath import release_views
         release_views()
 
@@ -211,7 +209,7 @@ class SweepRunner:
 
     # --------------------------------------------------------------- shared
 
-    def _backoff_delay(self, job: SweepJob, attempt: int) -> float:
+    def _backoff_delay(self, job: JobSpec, attempt: int) -> float:
         """Deterministic jittered delay before retrying ``job``.
 
         A pure function of ``(job.job_id, job.seed, attempt)``: the same
@@ -222,7 +220,7 @@ class SweepRunner:
         return jittered_backoff(cfg.backoff_seconds, cfg.backoff_cap_seconds,
                                 attempt, job.seed, f"backoff/{job.job_id}")
 
-    def _record_success(self, job: SweepJob, result: SimulationResult,
+    def _record_success(self, job: JobSpec, result: SimulationResult,
                         attempt: int, completed, report, journal) -> None:
         completed[job.job_id] = result
         report.executed.append(job.job_id)
@@ -235,15 +233,27 @@ class SweepRunner:
 
     # --------------------------------------------------------------- serial
 
-    def _run_serial(self, jobs: Sequence[SweepJob], completed, report,
+    def _run_serial(self, jobs: Sequence[JobSpec], completed, report,
                     journal) -> None:
         """Inline execution: the historical serial sweep plus retry logic.
 
         Timeouts are not enforced here — an in-process job cannot be
         preempted; use ``jobs >= 2`` for timeout protection.
+
+        Sweeps run workload-major (``build_*_jobs``), so when the trace
+        changes, the fast loop's views of the earlier traces are done
+        with; kept until their traces left the trace LRU, they cost a
+        four-workload sweep ~10% more peak memory.
         """
+        from ..core.fastpath import release_views
         cfg = self.config
+        trace = None
         for job in jobs:
+            job_trace = (job.workload, job.num_instructions, job.seed,
+                         job.engine, job.engine_params)
+            if job_trace != trace:
+                release_views()
+                trace = job_trace
             errors: List[str] = []
             for attempt in range(cfg.retries + 1):
                 if attempt:
@@ -251,7 +261,7 @@ class SweepRunner:
                 try:
                     if self.fault_plan is not None:
                         self.fault_plan.apply(job.job_id, attempt)
-                    result = execute_job(job, strict=cfg.strict_invariants)
+                    result = execute_job(job)
                 except KeyboardInterrupt:
                     raise
                 except Exception as error:
@@ -266,7 +276,7 @@ class SweepRunner:
 
     # ------------------------------------------------------------- parallel
 
-    def _run_parallel(self, jobs: Sequence[SweepJob], completed, report,
+    def _run_parallel(self, jobs: Sequence[JobSpec], completed, report,
                       journal) -> None:
         cfg = self.config
         try:
@@ -311,7 +321,7 @@ class SweepRunner:
                     process = ctx.Process(
                         target=_pool_worker,
                         args=(child_conn, entry.job, entry.attempt,
-                              self.fault_plan, cfg.strict_invariants),
+                              self.fault_plan),
                         daemon=True)
                     process.start()
                     child_conn.close()

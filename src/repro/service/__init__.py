@@ -20,8 +20,8 @@ injecting process- and file-level faults under a seeded schedule and
 asserting the end state is byte-identical to a fault-free run.
 """
 
+from ..runner.job import JobSpec
 from .chaos import ChaosReport, ChaosSpec, run_chaos
-from .protocol import JobSpec, execute_spec
 from .server import ServiceBatchResult, ServiceServer, SimulationService
 from .store import ResultStore
 from .supervisor import BatchReport, PoolConfig, WorkerPool
@@ -37,6 +37,5 @@ __all__ = [
     "ServiceServer",
     "SimulationService",
     "WorkerPool",
-    "execute_spec",
     "run_chaos",
 ]

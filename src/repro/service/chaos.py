@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..common.errors import ChaosError
 from ..common.hashing import derive_stream_seed
-from .protocol import JobSpec
+from ..runner.job import JobSpec
 from .server import SimulationService
 from .store import ResultStore
 from .supervisor import PoolConfig

@@ -15,9 +15,9 @@ import sys
 import tempfile
 from typing import List
 
+from ..runner.job import JobSpec
 from ..workloads.cli import add_engine_arguments, engine_params_from_args
 from .chaos import ChaosSpec, run_chaos
-from .protocol import JobSpec
 from .server import ServiceServer, SimulationService
 from .supervisor import PoolConfig
 

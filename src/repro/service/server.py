@@ -33,8 +33,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..common.errors import ProtocolError, ServiceError
 from ..runner.checkpoint import CheckpointJournal
+from ..runner.job import JobSpec
 from ..telemetry.hub import TelemetryHub
-from .protocol import JobSpec
 from .store import ResultStore
 from .supervisor import BatchReport, PoolConfig, WorkerPool
 

@@ -1,7 +1,7 @@
 """Content-addressed, checksummed, atomic result store.
 
 Layout: one file per result under ``objects/<key[:2]>/<key>.json``, where
-``key`` is the :attr:`~repro.service.protocol.JobSpec.key` content hash.
+``key`` is the :attr:`~repro.runner.job.JobSpec.key` content hash.
 Records use the shared checksummed envelope
 (:mod:`repro.common.integrity`) over a canonical body, so:
 

@@ -42,9 +42,9 @@ from ..common.errors import InjectedFaultError, ServiceError
 from ..core.metrics import SimulationResult
 from ..runner.backoff import jittered_backoff
 from ..runner.executor import JobFailure
+from ..runner.job import JobSpec, execute_job
 from ..telemetry.events import EventKind
 from ..telemetry.hub import TelemetryHub
-from .protocol import JobSpec, execute_spec
 
 #: Fault directive keys a worker understands (everything else is rejected
 #: at schedule build time, not silently ignored in the worker).
@@ -175,7 +175,7 @@ def _worker_main(conn: Any, heartbeat_interval: float) -> None:
             if fault:
                 _apply_worker_fault(fault)
             spec = JobSpec.from_dict(spec_dict)
-            result = execute_spec(spec)
+            result = execute_job(spec)
             send(("ok", key, attempt, result.to_dict()))
         except BaseException as error:     # ship *any* failure to the parent
             send(("err", key, attempt, f"{type(error).__name__}: {error}"))

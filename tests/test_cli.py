@@ -103,11 +103,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "UPC" in out
 
-    def test_run_with_fast_mode(self, capsys):
+    def test_run_takes_the_fast_loop(self, capsys, monkeypatch):
+        from repro.core.simulator import Simulator
+
+        def refuse(self):
+            raise AssertionError("repro run drove the stepped loop")
+        monkeypatch.setattr(Simulator, "steps", refuse)
         assert main(["run", "bm-x64", "--instructions", "2000",
-                     "--fast-mode"]) == 0
+                     "--compare-baseline", "--design", "rac"]) == 0
         out = capsys.readouterr().out
-        assert "UPC" in out
+        assert "UPC" in out and "vs baseline" in out
 
     def test_sweep_with_engine(self, capsys):
         assert main(["sweep-policy", "--workloads", "bm-x64",

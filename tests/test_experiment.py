@@ -13,10 +13,10 @@ from repro.core.experiment import (
     policy_config,
     run_capacity_sweep,
     run_policy_sweep,
-    run_single,
     workload_trace,
 )
 from repro.core.metrics import SimulationResult
+from repro.runner.job import JobSpec, execute_job
 
 
 class TestPolicyConfig:
@@ -197,15 +197,15 @@ class TestRealSweeps:
         assert fpwac.oc_fetch_ratio >= base.oc_fetch_ratio * 0.99
 
     def test_run_single(self):
-        result = run_single("bm-x64", policy_config("baseline"), "b",
-                            num_instructions=4000)
+        result = execute_job(JobSpec(workload="bm-x64",
+                                     num_instructions=4000))
         assert result.instructions == 4000
 
     def test_run_single_seed_changes_trace(self):
-        a = run_single("bm-x64", policy_config("baseline"), "b",
-                       num_instructions=2000, seed=7)
-        b = run_single("bm-x64", policy_config("baseline"), "b",
-                       num_instructions=2000, seed=11)
+        a = execute_job(JobSpec(workload="bm-x64", num_instructions=2000,
+                                seed=7))
+        b = execute_job(JobSpec(workload="bm-x64", num_instructions=2000,
+                                seed=11))
         assert a != b   # different dynamic traces, different counters
 
     def test_sweep_seed_is_plumbed_through(self):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.common.errors import (
     CheckpointError,
+    ProtocolError,
     ReproError,
     ReproWarning,
     RunnerError,
@@ -19,7 +20,6 @@ from repro.core.experiment import (
     POLICY_LABELS,
     policy_config,
     run_policy_sweep,
-    run_single,
     workload_trace,
 )
 from repro.core.metrics import SimulationResult
@@ -27,8 +27,8 @@ from repro.core.simulator import Simulator
 from repro.runner import (
     CheckpointJournal,
     FaultPlan,
+    JobSpec,
     RunnerConfig,
-    SweepJob,
     SweepRunner,
     build_capacity_jobs,
     build_policy_jobs,
@@ -46,7 +46,7 @@ def _jobs(workloads=WORKLOADS, labels=LABELS, instructions=INSTRUCTIONS):
 
 class TestJobs:
     def test_job_id(self):
-        job = SweepJob(workload="bm-x64", label="rac", kind="policy")
+        job = JobSpec(workload="bm-x64", design="rac")
         assert job.job_id == "bm-x64/rac"
 
     def test_canonical_order_is_workload_major(self):
@@ -58,24 +58,28 @@ class TestJobs:
     def test_capacity_jobs_label(self):
         jobs = build_capacity_jobs(["bm-x64"], (2048, 65536), 1000)
         assert [j.label for j in jobs] == ["OC_2K", "OC_64K"]
+        assert {j.design for j in jobs} == {"baseline"}
 
-    def test_execute_unknown_kind(self):
-        job = SweepJob(workload="bm-x64", label="x", kind="nope")
-        with pytest.raises(RunnerError):
-            execute_job(job)
+    def test_unknown_design_rejected_when_built(self):
+        # A sweep validates its specs up front instead of quarantining
+        # every job of a misspelled design at run time.
+        with pytest.raises(ProtocolError, match="unknown design"):
+            build_policy_jobs(["bm-x64"], ("baseline", "magic"), 2048, 2,
+                              1000)
+        assert issubclass(ProtocolError, ReproError)
 
     def test_execute_matches_direct_simulation(self):
         job = _jobs(["bm-x64"], ("baseline",))[0]
-        direct = run_single("bm-x64", policy_config("baseline", 2048),
-                            "baseline", num_instructions=INSTRUCTIONS)
+        trace = workload_trace("bm-x64", INSTRUCTIONS, seed=7)
+        direct = Simulator(trace, policy_config("baseline", 2048),
+                           "baseline").run()
         assert execute_job(job) == direct
 
 
 class TestExecuteJobFastLoop:
-    """Counters-only sweep jobs run the fast serve loop (mirrors
-    TestExecuteSpecFastMode in tests/test_service_protocol.py): each result
-    must equal a stepped, strict run of the same un-routed config byte for
-    byte, warmup snapshot included."""
+    """Counters-only jobs, from sweeps and the service alike, run the fast
+    serve loop: each result must equal a stepped, strict run of the same
+    un-routed config byte for byte, warmup snapshot included."""
 
     WARMUP = 300
 
@@ -89,10 +93,10 @@ class TestExecuteJobFastLoop:
 
     @pytest.mark.parametrize("design", POLICY_LABELS)
     def test_policy_job_matches_stepped_loop(self, design):
-        job = SweepJob(workload="bm-lla", label=design, kind="policy",
-                       num_instructions=INSTRUCTIONS,
-                       warmup_instructions=self.WARMUP)
-        fast = execute_job(job, strict=True)
+        job = JobSpec(workload="bm-lla", design=design,
+                      num_instructions=INSTRUCTIONS,
+                      warmup_instructions=self.WARMUP)
+        fast = execute_job(job)
         stepped = self._stepped(job, policy_config(design, 2048, 2))
         assert canonical_json(fast.to_dict()) == \
             canonical_json(stepped.to_dict())
@@ -100,8 +104,17 @@ class TestExecuteJobFastLoop:
     def test_capacity_job_matches_stepped_loop(self):
         job = build_capacity_jobs(["bm-lla"], (1024,), INSTRUCTIONS,
                                   warmup_instructions=self.WARMUP)[0]
-        fast = execute_job(job, strict=True)
+        fast = execute_job(job)
         stepped = self._stepped(job, baseline_config(1024))
+        assert canonical_json(fast.to_dict()) == \
+            canonical_json(stepped.to_dict())
+
+    def test_counters_only_job_stores_bit_identical_result(self):
+        job = JobSpec(workload="bm-x64", design="clasp",
+                      num_instructions=INSTRUCTIONS,
+                      warmup_instructions=self.WARMUP)
+        fast = execute_job(job)
+        stepped = self._stepped(job, policy_config("clasp", 2048, 2))
         assert canonical_json(fast.to_dict()) == \
             canonical_json(stepped.to_dict())
 
@@ -109,15 +122,34 @@ class TestExecuteJobFastLoop:
         def refuse(self):
             raise AssertionError("counters-only job drove the stepped loop")
         monkeypatch.setattr(Simulator, "steps", refuse)
-        execute_job(_jobs(["bm-x64"], ("rac",))[0], strict=True)
+        execute_job(_jobs(["bm-x64"], ("rac",))[0])
 
     def test_sweep_keeps_only_the_current_traces_views(self):
-        # Sweeps are workload-major, so a job drops earlier traces' views.
-        for job in _jobs():
-            execute_job(job, strict=True)
-            assert list(fastpath._VIEW_CACHE.keys()) == [
-                workload_trace(job.workload, job.num_instructions,
-                               seed=job.seed)]
+        # Sweeps are workload-major, so the runner drops earlier traces'
+        # views when the trace changes.
+        cached = []
+
+        def progress(job, result):
+            cached.append((job, list(fastpath._VIEW_CACHE.keys())))
+
+        SweepRunner(RunnerConfig(), progress=progress).run(_jobs())
+        assert len(cached) == 4
+        for job, traces in cached:
+            assert traces == [workload_trace(job.workload,
+                                             job.num_instructions,
+                                             seed=job.seed)]
+
+    def test_views_outlive_a_switch_of_trace(self):
+        # execute_job releases nothing: a service worker may be handed
+        # specs of several workloads in turn, so a view stays cached as
+        # long as its trace does.
+        jobs = [JobSpec(workload=workload, num_instructions=INSTRUCTIONS)
+                for workload in ("bm-x64", "bm-lla")]
+        for job in jobs:
+            execute_job(job)
+        traces = [workload_trace(job.workload, INSTRUCTIONS, seed=7)
+                  for job in jobs]
+        assert all(trace in fastpath._VIEW_CACHE for trace in traces)
 
     def test_finished_sweep_keeps_no_views(self):
         results, _ = SweepRunner(RunnerConfig()).run(_jobs())
@@ -126,19 +158,19 @@ class TestExecuteJobFastLoop:
     def test_telemetry_job_keeps_stepped_loop(self):
         job = dataclasses.replace(_jobs(["bm-x64"], ("rac",))[0],
                                   telemetry=True)
-        assert execute_job(job, strict=True).telemetry_events
+        assert execute_job(job).telemetry_events
 
 
 class TestResultRoundTrip:
     def test_dict_round_trip_equality(self):
-        result = run_single("bm-x64", policy_config("f-pwac"), "f-pwac",
-                            num_instructions=4000)
+        result = execute_job(JobSpec(workload="bm-x64", design="f-pwac",
+                                     num_instructions=4000))
         payload = json.loads(json.dumps(result.to_dict()))
         assert SimulationResult.from_dict(payload) == result
 
     def test_round_trip_preserves_derived_metrics(self):
-        result = run_single("bm-x64", policy_config("baseline"), "b",
-                            num_instructions=4000)
+        result = execute_job(JobSpec(workload="bm-x64",
+                                     num_instructions=4000))
         restored = SimulationResult.from_dict(result.to_dict())
         assert restored.upc == result.upc
         assert restored.decoder_power == result.decoder_power

@@ -1,14 +1,14 @@
-"""Tests for the job-submission protocol: spec validation and content keys."""
+"""Tests for the job spec the service accepts: validation and content
+keys."""
 
 import dataclasses
 
 import pytest
 
 from repro.common.errors import ProtocolError
-from repro.core import fastpath
 from repro.core.experiment import policy_config, workload_trace
 from repro.core.simulator import Simulator
-from repro.service.protocol import KEY_VERSION, JobSpec, execute_spec
+from repro.runner.job import KEY_VERSION, JobSpec, execute_job
 
 INSTRUCTIONS = 1500
 
@@ -51,8 +51,16 @@ class TestContentKey:
                        dict(capacity_uops=4096),
                        dict(max_entries_per_line=3),
                        dict(num_instructions=2000),
-                       dict(warmup_instructions=100), dict(seed=8)):
+                       dict(warmup_instructions=100), dict(seed=8),
+                       dict(label="OC_2K"), dict(telemetry=True)):
             assert _spec(**change).key != base.key, change
+
+    def test_unset_label_and_telemetry_leave_the_key_alone(self):
+        # Hashed only when set, so keys from before the two fields joined
+        # the spec still address their stored results.
+        assert _spec(label="clasp", telemetry=False).key == _spec().key
+        assert "label" not in _spec().canonical()
+        assert "telemetry" not in _spec().canonical()
 
     def test_key_folds_in_version(self):
         assert _spec().canonical()["key_version"] == KEY_VERSION
@@ -67,8 +75,8 @@ class TestContentKey:
 
 class TestFromDict:
     def test_round_trip(self):
-        spec = _spec()
-        assert JobSpec.from_dict(spec.to_dict()) == spec
+        for spec in (_spec(), _spec(label="OC_4K", telemetry=True)):
+            assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_defaults_apply(self):
         spec = JobSpec.from_dict({"workload": "bm-x64"})
@@ -99,6 +107,12 @@ class TestFromDict:
         with pytest.raises(ProtocolError, match="must be an integer"):
             JobSpec.from_dict({"workload": "bm-x64",
                                "num_instructions": "many"})
+
+    def test_label_and_telemetry_types_checked(self):
+        with pytest.raises(ProtocolError, match="must be a string"):
+            JobSpec.from_dict({"workload": "bm-x64", "label": 4})
+        with pytest.raises(ProtocolError, match="must be a boolean"):
+            JobSpec.from_dict({"workload": "bm-x64", "telemetry": 1})
 
 
 class TestEngineFields:
@@ -161,7 +175,7 @@ class TestExecuteSpec:
             policy_config("clasp", 2048, 2), warmup_instructions=300)
         trace = workload_trace("bm-x64", INSTRUCTIONS, seed=7)
         direct = Simulator(trace, config, "clasp").run()
-        assert execute_spec(spec) == direct
+        assert execute_job(spec) == direct
 
     def test_engine_spec_matches_direct_engine_simulation(self):
         spec = _spec(engine="adv-pwconflict",
@@ -171,34 +185,4 @@ class TestExecuteSpec:
                                engine="adv-pwconflict",
                                engine_params={"num_functions": 16})
         direct = Simulator(trace, config, "clasp").run()
-        assert execute_spec(spec) == direct
-
-
-class TestExecuteSpecFastMode:
-    """Service jobs are counters-only, so execute_spec routes them through
-    the fast serve loop; the stored payload must stay byte-identical."""
-
-    def test_counters_only_job_stores_bit_identical_result(self):
-        from repro.common.integrity import canonical_json
-
-        spec = _spec(warmup_instructions=300)
-        fast = execute_spec(spec)
-
-        config = dataclasses.replace(
-            policy_config("clasp", 2048, 2), warmup_instructions=300)
-        assert not config.fast_mode      # the un-routed baseline
-        trace = workload_trace("bm-x64", INSTRUCTIONS, seed=7)
-        slow = Simulator(trace, config, "clasp", strict=True).run()
-
-        assert canonical_json(fast.to_dict()) == \
-            canonical_json(slow.to_dict())
-
-    def test_views_outlive_a_switch_of_trace(self):
-        # A worker may be handed specs of several workloads in turn, so a
-        # view stays cached as long as its trace does.
-        specs = [_spec(workload="bm-x64"), _spec(workload="bm-lla")]
-        for spec in specs:
-            execute_spec(spec)
-        traces = [workload_trace(spec.workload, INSTRUCTIONS, seed=7)
-                  for spec in specs]
-        assert all(trace in fastpath._VIEW_CACHE for trace in traces)
+        assert execute_job(spec) == direct

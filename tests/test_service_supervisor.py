@@ -7,7 +7,7 @@ import signal
 import pytest
 
 from repro.common.errors import ServiceError
-from repro.service.protocol import JobSpec, execute_spec
+from repro.runner.job import JobSpec, execute_job
 from repro.service.supervisor import BatchReport, PoolConfig, WorkerPool
 from repro.telemetry import TelemetryHub
 
@@ -62,7 +62,7 @@ class TestBatchExecution:
         assert report.ok and len(report.executed) == 2
         assert list(results) == [spec.key for spec in specs]
         for spec in specs:
-            assert results[spec.key] == execute_spec(spec)
+            assert results[spec.key] == execute_job(spec)
 
     def test_run_batch_requires_start(self):
         pool = WorkerPool(_config())
@@ -92,7 +92,7 @@ class TestFaultRecovery:
                                faults={spec.key: [{"crash": True}]})
         assert report.ok
         assert report.retried == {spec.key: 1}
-        assert results[spec.key] == execute_spec(spec)
+        assert results[spec.key] == execute_job(spec)
 
     def test_exhausted_retries_quarantine_with_history(self):
         spec = _spec()
@@ -114,7 +114,7 @@ class TestFaultRecovery:
         assert report.ok
         assert report.worker_restarts >= 1
         assert hub.summary().get("worker_restart", 0) >= 1
-        assert results[spec.key] == execute_spec(spec)
+        assert results[spec.key] == execute_job(spec)
         assert report.retried == {spec.key: 1}
 
     def test_respawned_worker_dies_on_sigterm(self):
@@ -142,7 +142,7 @@ class TestFaultRecovery:
         assert report.ok
         assert report.worker_restarts >= 1
         assert report.retried == {spec.key: 1}
-        assert results[spec.key] == execute_spec(spec)
+        assert results[spec.key] == execute_job(spec)
 
     def test_frozen_worker_is_detected_by_heartbeat_monitor(self):
         spec = _spec()
@@ -152,7 +152,7 @@ class TestFaultRecovery:
             faults={spec.key: [{"freeze": 10.0}]})
         assert report.ok
         assert report.worker_restarts >= 1
-        assert results[spec.key] == execute_spec(spec)
+        assert results[spec.key] == execute_job(spec)
 
     def test_faulted_batch_results_are_bit_identical_to_clean(self):
         specs = [_spec(design="baseline"), _spec(design="clasp"),

@@ -22,7 +22,7 @@ from repro.common.errors import ConfigError
 from repro.core.experiment import DEFAULT_SEED, policy_config, workload_trace
 from repro.core.simulator import Simulator
 from repro.core.smt import SmtSimulator
-from repro.runner.job import KIND_POLICY, SweepJob, execute_job
+from repro.runner.job import JobSpec, execute_job
 from repro.telemetry import (
     ChromeTraceSink,
     CounterSink,
@@ -351,8 +351,8 @@ def test_telemetry_config_validation():
 # --------------------------------------------------------------------------
 
 def test_sweep_job_telemetry_lands_in_journaled_result():
-    job = SweepJob(workload="bm-x64", label="rac", kind=KIND_POLICY,
-                   num_instructions=1500, telemetry=True)
+    job = JobSpec(workload="bm-x64", design="rac", num_instructions=1500,
+                  telemetry=True)
     result = execute_job(job)
     assert result.telemetry_events["oc_hit"] > 0
     restored = type(result).from_dict(result.to_dict())
