@@ -13,8 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner.job import build_capacity_jobs, build_policy_jobs
-from repro.service.protocol import JobSpec
+from repro.runner.job import JobSpec, build_capacity_jobs, build_policy_jobs
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "job_keys.json")
                     .read_text(encoding="utf-8"))
