@@ -167,5 +167,6 @@ def test_golden_files_have_no_strays():
     expected.add("program_images.json")     # tests/test_program_images.py
     expected.add("stepped_runs.json")       # tests/test_stepped_runs.py
     expected.add("job_keys.json")           # tests/test_job_keys.py
+    expected.add("write_side.json")         # tests/test_write_side.py
     present = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert present == expected
