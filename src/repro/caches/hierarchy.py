@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..common.config import MemoryHierarchyConfig
-from .replacement import TrueLru
 from .setassoc import SetAssociativeCache
 
 
@@ -27,12 +26,6 @@ class MemoryHierarchy:
         self.l1d = SetAssociativeCache(cfg.l1d)
         self.l2 = SetAssociativeCache(cfg.l2)
         self.l3 = SetAssociativeCache(cfg.l3)
-        # Recency lists for the inlined LRU-hit update (None when an L1 runs
-        # a non-LRU policy; the access paths then call on_hit).
-        self._l1i_lru = self.l1i._policy._order \
-            if isinstance(self.l1i._policy, TrueLru) else None
-        self._l1d_lru = self.l1d._policy._order \
-            if isinstance(self.l1d._policy, TrueLru) else None
 
     # -- instruction side -----------------------------------------------------
 
@@ -41,23 +34,19 @@ class MemoryHierarchy:
         latency in cycles and fills all levels on the way down.
 
         The dominant L1-I-hit case is inlined (index/tag arithmetic,
-        membership test, direct counter bumps); misses go through
-        :meth:`_miss_latency`.  With ``icache_prefetch`` the next line is
-        prefetched; its latency is off the critical path, so only the state
-        change is modeled.
+        membership test, the level's in-place LRU update, direct counter
+        bumps); misses go through :meth:`_miss_latency`.  With
+        ``icache_prefetch`` the next line is prefetched; its latency is off
+        the critical path, so only the state change is modeled.
         """
         l1i = self.l1i
         line = address >> l1i._line_shift
         set_index = line & l1i._set_mask
         tag = line >> l1i._set_shift
         ways = l1i._tags[set_index]
-        try:
+        if tag in ways:
             way = ways.index(tag)
-        except ValueError:
-            l1i.misses += 1
-            latency = self._miss_latency(address, l1i)
-        else:
-            lru = self._l1i_lru
+            lru = l1i._lru
             if lru is not None:
                 order = lru[set_index]
                 order.remove(way)
@@ -66,6 +55,9 @@ class MemoryHierarchy:
                 l1i._policy.on_hit(set_index, way)
             l1i.hits += 1
             latency = l1i.config.hit_latency_cycles
+        else:
+            l1i.misses += 1
+            latency = self._miss_latency(address, l1i)
         if self.config.icache_prefetch:
             next_line = line + 1
             if (next_line >> l1i._set_shift) not in \
@@ -86,13 +78,9 @@ class MemoryHierarchy:
         set_index = line & l1d._set_mask
         tag = line >> l1d._set_shift
         ways = l1d._tags[set_index]
-        try:
+        if tag in ways:
             way = ways.index(tag)
-        except ValueError:
-            l1d.misses += 1
-            latency = self._miss_latency(address, l1d)
-        else:
-            lru = self._l1d_lru
+            lru = l1d._lru
             if lru is not None:
                 order = lru[set_index]
                 order.remove(way)
@@ -101,6 +89,9 @@ class MemoryHierarchy:
                 l1d._policy.on_hit(set_index, way)
             l1d.hits += 1
             latency = l1d.config.hit_latency_cycles
+        else:
+            l1d.misses += 1
+            latency = self._miss_latency(address, l1d)
         next_line = line + 1
         if (next_line >> l1d._set_shift) not in \
                 l1d._tags[next_line & l1d._set_mask]:

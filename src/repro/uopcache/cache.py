@@ -154,58 +154,63 @@ class UopCache:
 
     def fill(self, entry: UopCacheEntry) -> FillResult:
         cfg = self.config
-        if entry.size_bytes(cfg) > cfg.usable_line_bytes:
+        size = entry.size_bytes(cfg)
+        if size > cfg.usable_line_bytes:
             raise CacheError(
                 f"entry at {entry.start_pc:#x} exceeds line capacity")
-        if entry.end_pc <= entry.start_pc:
+        start_pc = entry.start_pc
+        if entry.end_pc <= start_pc:
             raise CacheError(
                 f"malformed entry: end {entry.end_pc:#x} <= "
-                f"start {entry.start_pc:#x}")
-        set_index = self.set_index(entry.start_pc)
-        if entry.start_pc in self._index[set_index]:
+                f"start {start_pc:#x}")
+        set_index = (start_pc // self.icache_line_bytes) % cfg.num_sets
+        if start_pc in self._index[set_index]:
             self.duplicate_fills += 1
             self._fill_kind_counts[FillKind.DUPLICATE] += 1
             if self._telemetry is not None:
-                self._telemetry.emit(EventKind.OC_FILL, pc=entry.start_pc,
+                self._telemetry.emit(EventKind.OC_FILL, pc=start_pc,
                                      fill_kind=FillKind.DUPLICATE.value)
             return FillResult(FillKind.DUPLICATE)
 
-        self._record_fill_stats(entry)
+        self._entry_size_hist.record(size)
+        self._termination_counts[entry.termination] += 1
+        if entry.spans_icache_lines(self.icache_line_bytes):
+            self._spanning_fills += 1
         policy = cfg.compaction
-
         if policy is not CompactionPolicy.NONE:
-            result = self._fill_compacting(set_index, entry, policy)
+            result = self._fill_compacting(set_index, entry, size, policy)
         else:
             result = self._fill_alloc(set_index, entry)
         self.fills += 1
         self._fill_kind_counts[result.kind] += 1
         if self._telemetry is not None:
             self._telemetry.emit(
-                EventKind.OC_FILL, pc=entry.start_pc,
+                EventKind.OC_FILL, pc=start_pc,
                 fill_kind=result.kind.value,
                 termination=entry.termination.value, uops=entry.num_uops,
-                bytes=entry.size_bytes(cfg),
+                bytes=size,
                 lines=len(entry.icache_lines(self.icache_line_bytes)))
         return result
 
-    def _record_fill_stats(self, entry: UopCacheEntry) -> None:
-        self._entry_size_hist.record(entry.size_bytes(self.config))
-        self._termination_counts[entry.termination] += 1
-        if entry.spans_icache_lines(self.icache_line_bytes):
-            self._spanning_fills += 1
-
     def _fill_alloc(self, set_index: int, entry: UopCacheEntry) -> FillResult:
+        """Place ``entry`` alone in the set's first empty way, else in its
+        LRU way (what ``TrueLru.victim`` picks)."""
         lines = self._sets[set_index]
-        valid = [line.valid for line in lines]
-        way = self._lru.victim(set_index, valid)
+        order = self._lru._order[set_index]
+        for way, line in enumerate(lines):
+            if not line.entries:
+                break
+        else:
+            way = order[0]
         evicted = self._evict_line(set_index, way)
         lines[way].entries.append(entry)
         self._index[set_index][entry.start_pc] = way
-        self._lru.on_fill(set_index, way)
+        order.remove(way)
+        order.append(way)
         return FillResult(FillKind.ALLOC, evicted)
 
     def _fill_compacting(self, set_index: int, entry: UopCacheEntry,
-                         policy: CompactionPolicy) -> FillResult:
+                         size: int, policy: CompactionPolicy) -> FillResult:
         if policy in (CompactionPolicy.PWAC, CompactionPolicy.F_PWAC):
             way = self._find_same_pw_line(set_index, entry)
             if way is not None:
@@ -213,58 +218,59 @@ class UopCache:
                     self._place(set_index, way, entry)
                     return FillResult(FillKind.PWAC)
                 if policy is CompactionPolicy.F_PWAC:
-                    forced = self._force_pw_merge(set_index, way, entry)
+                    forced = self._force_pw_merge(set_index, way, entry, size)
                     if forced is not None:
                         return forced
-        way = self._find_rac_line(set_index, entry)
-        if way is not None:
-            self._place(set_index, way, entry)
-            return FillResult(FillKind.RAC)
+        # RAC: the most-recently-used line with room.
+        for way in reversed(self._lru._order[set_index]):
+            if self._line_accepts(set_index, way, entry):
+                self._place(set_index, way, entry)
+                return FillResult(FillKind.RAC)
         return self._fill_alloc(set_index, entry)
 
     # -- compaction helpers --------------------------------------------------
 
     def _line_accepts(self, set_index: int, way: int,
                       entry: UopCacheEntry) -> bool:
+        """Whether a valid line has an entry slot and the bytes for
+        ``entry``: the one capacity check every compacting fill makes."""
         cfg = self.config
-        line = self._sets[set_index][way]
-        if not line.valid:
+        entries = self._sets[set_index][way].entries
+        if not entries or len(entries) >= cfg.max_entries_per_line:
             return False
-        if len(line.entries) >= cfg.max_entries_per_line:
-            return False
-        return line.free_bytes(cfg) >= entry.size_bytes(cfg)
+        free = cfg.usable_line_bytes
+        for resident in entries:
+            free -= resident.size_bytes(cfg)
+        return free >= entry.size_bytes(cfg)
 
     def _place(self, set_index: int, way: int, entry: UopCacheEntry) -> None:
         self._sets[set_index][way].entries.append(entry)
         self._index[set_index][entry.start_pc] = way
-        self._lru.on_fill(set_index, way)
+        order = self._lru._order[set_index]
+        order.remove(way)
+        order.append(way)
 
     def _find_same_pw_line(self, set_index: int,
                            entry: UopCacheEntry) -> Optional[int]:
         """The way holding an entry of the same PW, if any (MRU-most wins)."""
-        for way in reversed(self._lru.recency_order(set_index)):
-            line = self._sets[set_index][way]
-            if any(resident.pw_id == entry.pw_id for resident in line.entries):
-                return way
-        return None
-
-    def _find_rac_line(self, set_index: int,
-                       entry: UopCacheEntry) -> Optional[int]:
-        """Most-recently-used line with room (replacement-aware compaction)."""
-        for way in reversed(self._lru.recency_order(set_index)):
-            if self._line_accepts(set_index, way, entry):
-                return way
+        lines = self._sets[set_index]
+        pw_id = entry.pw_id
+        for way in reversed(self._lru._order[set_index]):
+            for resident in lines[way].entries:
+                if resident.pw_id == pw_id:
+                    return way
         return None
 
     def _force_pw_merge(self, set_index: int, buddy_way: int,
-                        entry: UopCacheEntry) -> Optional[FillResult]:
+                        entry: UopCacheEntry,
+                        size: int) -> Optional[FillResult]:
         """F-PWAC forced merge (Fig. 14).
 
         The buddy line holds same-PW entries plus foreign ones and lacks room.
         Evict the LRU line, move the foreign entries there, and compact the
-        same-PW group with the new entry in the buddy line.  Returns None when
-        the forced merge is impossible (the merged group would not fit, or
-        there is no second way), leaving state untouched.
+        same-PW group with the new entry (``size`` bytes) in the buddy line.
+        Returns None when the forced merge is impossible (the merged group
+        would not fit, or there is no second way), leaving state untouched.
         """
         cfg = self.config
         line = self._sets[set_index][buddy_way]
@@ -272,8 +278,7 @@ class UopCache:
         foreign = [e for e in line.entries if e.pw_id != entry.pw_id]
         if not foreign:
             return None  # nothing to displace; plain PWAC simply lacked space
-        merged_bytes = sum(e.size_bytes(cfg) for e in same_pw) + \
-            entry.size_bytes(cfg)
+        merged_bytes = sum(e.size_bytes(cfg) for e in same_pw) + size
         if merged_bytes > cfg.usable_line_bytes or \
                 len(same_pw) + 1 > cfg.max_entries_per_line:
             return None
@@ -281,7 +286,7 @@ class UopCache:
             return None
 
         # Choose the LRU victim line, excluding the buddy line itself.
-        order = self._lru.recency_order(set_index)
+        order = self._lru._order[set_index]
         victim_way = next(way for way in order if way != buddy_way)
         evicted = self._evict_line(set_index, victim_way)
 
@@ -295,8 +300,10 @@ class UopCache:
         line.entries.append(entry)
         self._index[set_index][entry.start_pc] = buddy_way
 
-        self._lru.on_fill(set_index, victim_way)
-        self._lru.on_fill(set_index, buddy_way)
+        order.remove(victim_way)
+        order.append(victim_way)
+        order.remove(buddy_way)
+        order.append(buddy_way)
         if self._telemetry is not None:
             self._telemetry.emit(
                 EventKind.OC_DISSOLVE, pc=entry.start_pc,

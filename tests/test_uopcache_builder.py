@@ -18,8 +18,8 @@ class TestSequentialAccumulation:
     def test_sequential_instructions_share_entry(self):
         buf = make_buffer()
         buf.begin(pw_id=0x1000)
-        assert buf.push(make_uops(0x1000, 2), taken=False) == []
-        assert buf.push(make_uops(0x1004, 2), taken=False) == []
+        assert buf.push(make_uops(0x1000, 2), taken=False) == ()
+        assert buf.push(make_uops(0x1004, 2), taken=False) == ()
         entries = buf.flush()
         assert len(entries) == 1
         assert entries[0].num_uops == 4
@@ -48,7 +48,7 @@ class TestSequentialAccumulation:
         buf.begin(pw_id=0x1000)
         buf.push(make_uops(0x1038, 1, inst_length=8), taken=False)
         sealed = buf.push(make_uops(0x1040, 1), taken=False)
-        assert sealed == []
+        assert sealed == ()
         entries = buf.flush()
         assert entries[0].spans_icache_lines(64)
 
@@ -60,9 +60,9 @@ class TestSequentialAccumulation:
         buf.begin(pw_id=0x1000)
         buf.push(make_uops(0x1008, 1, inst_length=8), taken=False)   # line 0
         assert buf.push(make_uops(0x1010, 1, inst_length=8),
-                        taken=False) == []                           # line 1
+                        taken=False) == ()                           # line 1
         sealed = buf.push(make_uops(0x1018, 1, inst_length=8), taken=False)
-        assert sealed == []                                          # line 1
+        assert sealed == ()                                          # line 1
         sealed = buf.push(make_uops(0x1020, 1, inst_length=8), taken=False)
         assert len(sealed) == 1                                      # line 2
         assert sealed[0].termination is EntryTermination.ICACHE_LINE_BOUNDARY
@@ -72,7 +72,7 @@ class TestSequentialAccumulation:
         buf.begin(pw_id=0x1000)
         for i in range(4):
             assert buf.push(make_uops(0x1000 + 2 * i, 2, inst_length=2),
-                            taken=False) == []
+                            taken=False) == ()
         sealed = buf.push(make_uops(0x1008, 2, inst_length=2), taken=False)
         assert len(sealed) == 1
         assert sealed[0].termination is EntryTermination.MAX_UOPS
@@ -149,7 +149,7 @@ class TestBypass:
         buf = AccumulationBuffer(cfg)
         buf.begin(pw_id=0x1000)
         sealed = buf.push(make_uops(0x1000, 9), taken=False)
-        assert sealed == []
+        assert sealed == ()
         assert buf.bypassed_uops == 9
         assert not buf.accumulating
 
