@@ -46,6 +46,10 @@ DEFAULT_SEED = 7
 _TraceKey = Tuple[str, int, int, str, Tuple[Tuple[str, object], ...]]
 _trace_cache: "OrderedDict[_TraceKey, Trace]" = OrderedDict()
 
+#: Engines whose traces are never memoised: a replay trace's backing file
+#: can change between calls.
+_UNCACHED_ENGINES = frozenset({"replay"})
+
 #: Bound on memoised traces (LRU eviction).  Traces are the largest objects a
 #: sweep session holds; without a bound, a long session sweeping many
 #: (workload, length, seed) combinations grows memory without limit.
@@ -66,7 +70,7 @@ def workload_trace(name: str, num_instructions: int = DEFAULT_TRACE_INSTRUCTIONS
     traces are never cached: the backing file can change between calls.
     """
     params = dict(engine_params or {})
-    if engine == "replay":
+    if engine in _UNCACHED_ENGINES:
         return create_engine(engine, workload=name, params=params) \
             .build_trace(num_instructions, seed)
     key = (name, num_instructions, seed, engine,
@@ -194,11 +198,13 @@ def _run_jobs(jobs: Sequence[JobSpec],
     runner = runner or RunnerConfig()
     if runner.jobs > 1:
         # Pre-warm the trace cache so forked workers inherit built traces
-        # instead of regenerating them per process.
+        # instead of regenerating them per process.  An uncached trace
+        # would be built here for nothing: each worker builds its own.
         for job in jobs:
-            workload_trace(job.workload, job.num_instructions, seed=job.seed,
-                           engine=job.engine,
-                           engine_params=dict(job.engine_params))
+            if job.engine not in _UNCACHED_ENGINES:
+                workload_trace(job.workload, job.num_instructions,
+                               seed=job.seed, engine=job.engine,
+                               engine_params=dict(job.engine_params))
     wrapped = (lambda job, result: progress(progress_line(result))) \
         if progress else None
     executor = SweepRunner(runner, fault_plan=fault_plan, progress=wrapped)

@@ -443,6 +443,32 @@ class TestSweepIntegration:
         table_p = parallel.normalized(lambda r: r.upc, "baseline")
         assert table_s == table_p     # bit-identical aggregate tables
 
+    def test_parallel_replay_sweep_builds_no_trace_in_the_parent(
+            self, tmp_path, monkeypatch):
+        """workload_trace never caches replay traces, so a pre-fork warm-up
+        that unpacked them would be work no forked job could reuse."""
+        from repro.workloads import tracefile
+        path = tmp_path / "bm-x64.uoptrace"
+        tracefile.pack_trace(workload_trace("bm-x64", INSTRUCTIONS), path)
+        kwargs = dict(workloads=["bm-x64"], labels=("baseline", "clasp", "rac"),
+                      num_instructions=INSTRUCTIONS, engine="replay",
+                      engine_params={"path": str(path)})
+        serial = run_policy_sweep(**kwargs)
+        unpacked = []
+        unpack = tracefile.unpack_trace
+
+        def counting_unpack(*args, **kwargs):
+            unpacked.append(args)
+            return unpack(*args, **kwargs)
+
+        # Forked jobs count in their own copy of the list; only the
+        # parent's calls reach this one.
+        monkeypatch.setattr(tracefile, "unpack_trace", counting_unpack)
+        parallel = run_policy_sweep(runner=RunnerConfig(jobs=2), **kwargs)
+        assert parallel.report.ok
+        assert unpacked == []
+        assert parallel.results == serial.results
+
     def test_sweep_report_attached(self):
         sweep = run_policy_sweep(workloads=["bm-x64"], labels=("baseline",),
                                  num_instructions=1500)
