@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..common.config import UopCacheConfig
 from ..common.errors import CacheError
@@ -115,7 +115,7 @@ class UopCacheEntry:
 #: it is micro-coded, else None); ``ucoded_pcs`` are the pcs of all its
 #: micro-coded uops, which the entry records; ``end_pc`` is 0 for an
 #: instruction with no uops, which no entry accepts.
-Footprint = Tuple[Sequence[Uop], int, int, Optional[int], FrozenSet[int],
+Footprint = Tuple[Sequence[Uop], int, int, Optional[int], Tuple[int, ...],
                   int, int]
 
 
@@ -123,7 +123,7 @@ def instruction_footprint(inst_uops: Sequence[Uop],
                           config: UopCacheConfig) -> Footprint:
     """The :data:`Footprint` of one instruction's uops under ``config``."""
     num_imm = sum(1 for uop in inst_uops if uop.has_imm_disp)
-    ucoded_pcs = frozenset(uop.pc for uop in inst_uops if uop.is_microcoded)
+    ucoded_pcs = tuple(uop.pc for uop in inst_uops if uop.is_microcoded)
     ucoded_pc: Optional[int] = None
     end_pc = 0
     if inst_uops:
@@ -196,7 +196,7 @@ class EntryBuilder:
         self._uops.extend(inst_uops)
         self._num_imm += num_imm
         if ucoded_pcs:
-            self._ucoded_pcs |= ucoded_pcs
+            self._ucoded_pcs.update(ucoded_pcs)
         self._bytes += num_bytes
         self._end_pc = end_pc
 
