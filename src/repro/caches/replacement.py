@@ -76,7 +76,7 @@ class TrueLru(ReplacementPolicy):
         return self._order[set_index][0]
 
     def recency_order(self, set_index: int) -> List[int]:
-        """LRU -> MRU way order (exposed for the uop cache's RAC policy)."""
+        """A copy of the LRU -> MRU way order."""
         return list(self._order[set_index])
 
     def mru_way(self, set_index: int) -> int:

@@ -68,9 +68,6 @@ class UopCacheLine:
     def used_bytes(self, config: UopCacheConfig) -> int:
         return sum(entry.size_bytes(config) for entry in self.entries)
 
-    def free_bytes(self, config: UopCacheConfig) -> int:
-        return config.usable_line_bytes - self.used_bytes(config)
-
 
 class UopCache:
     """The uop cache proper.  See module docstring for the model."""
