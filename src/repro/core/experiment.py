@@ -195,16 +195,6 @@ def _run_jobs(jobs: Sequence[JobSpec],
               progress: Optional[Callable[[str], None]],
               progress_line: Callable[[SimulationResult], str]) -> SweepResult:
     """Execute sweep jobs through the fault-tolerant runner."""
-    runner = runner or RunnerConfig()
-    if runner.jobs > 1:
-        # Pre-warm the trace cache so forked workers inherit built traces
-        # instead of regenerating them per process.  An uncached trace
-        # would be built here for nothing: each worker builds its own.
-        for job in jobs:
-            if job.engine not in _UNCACHED_ENGINES:
-                workload_trace(job.workload, job.num_instructions,
-                               seed=job.seed, engine=job.engine,
-                               engine_params=dict(job.engine_params))
     wrapped = (lambda job, result: progress(progress_line(result))) \
         if progress else None
     executor = SweepRunner(runner, fault_plan=fault_plan, progress=wrapped)

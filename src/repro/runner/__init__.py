@@ -1,4 +1,4 @@
-"""Fault-tolerant parallel sweep execution.
+"""Fault-tolerant sweep execution.
 
 Public surface::
 
@@ -7,8 +7,9 @@ Public surface::
         FaultPlan, CheckpointJournal, execute_job,
     )
 
-See :mod:`repro.runner.executor` for the robustness model (timeouts,
-retries, quarantine, checkpoint/resume).
+A sweep runs serially in-process or, with ``jobs > 1``, on the job
+service's supervised worker pool.  See :mod:`repro.runner.executor` for
+the robustness model (timeouts, retries, quarantine, checkpoint/resume).
 """
 
 from .backoff import jittered_backoff

@@ -1,14 +1,15 @@
 """The fault-tolerant sweep executor.
 
-:class:`SweepRunner` fans :class:`~repro.runner.job.JobSpec` jobs out over
-worker processes (``jobs > 1``) or runs them inline (``jobs == 1``, the
-degenerate serial case that behaves exactly like the historical sweep loop).
-Robustness model:
+:class:`SweepRunner` runs :class:`~repro.runner.job.JobSpec` jobs inline
+(``jobs == 1``, the serial case) or on the job service's supervised
+:class:`~repro.service.supervisor.WorkerPool` of ``jobs`` long-lived worker
+processes (``jobs > 1``).  Robustness model:
 
-- **Per-job timeout** (parallel mode): a worker that exceeds its budget is
-  terminated; the job counts as failed and goes through the retry machinery.
-  Inline execution cannot be preempted from within the same process, so
-  timeouts require ``jobs >= 2``.
+- **Per-job timeout** (parallel mode): the pool kills a worker whose attempt
+  runs past ``timeout_seconds`` (its deadline) and respawns the slot; the
+  attempt counts as failed and goes through the retry machinery.  Inline
+  execution cannot be preempted from within the same process, so timeouts
+  require ``jobs >= 2``.
 - **Bounded retries with jittered exponential backoff**: a failed job is
   re-queued with delay ``backoff * 2**attempt`` (capped), scaled by a
   deterministic jitter factor derived from the job's seed (see
@@ -16,19 +17,20 @@ Robustness model:
   up to ``retries`` times.
 - **Quarantine**: a job that exhausts its retries is set aside with its full
   error history; the sweep *completes* and reports it instead of dying.
-- **Checkpointing**: every completed result is journaled crash-safely (see
-  :mod:`repro.runner.checkpoint`); ``resume=True`` re-runs only the jobs
-  missing from the journal.
+- **Checkpointing**: every completed result is journaled crash-safely as
+  it completes (see :mod:`repro.runner.checkpoint`); ``resume=True``
+  re-runs only the jobs missing from the journal.
 
 Parallel and serial runs produce bit-identical results for the same jobs:
 workers rebuild trace and configuration deterministically from the job spec
 (see :func:`repro.runner.job.execute_job`) and results are returned in
-canonical job order regardless of completion order.
+canonical job order regardless of completion order.  Both release the fast
+loop's trace views whenever the next job's :attr:`JobSpec.trace_key`
+differs from the last one's.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +40,7 @@ from ..common.errors import RunnerError
 from ..core.metrics import SimulationResult
 from .backoff import jittered_backoff
 from .checkpoint import CheckpointJournal
-from .faults import FaultPlan
+from .faults import FaultPlan, apply_fault
 from .job import JobSpec, execute_job
 
 ProgressFn = Callable[[JobSpec, SimulationResult], None]
@@ -55,7 +57,6 @@ class RunnerConfig:
     backoff_cap_seconds: float = 30.0
     checkpoint_dir: Optional[Union[str, Path]] = None
     resume: bool = False
-    poll_interval_seconds: float = 0.02
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -81,13 +82,14 @@ class JobFailure:
 
 @dataclass
 class SweepReport:
-    """What actually happened during a sweep run."""
+    """What actually happened during a sweep run or a pool batch."""
 
     total_jobs: int = 0
-    executed: List[str] = field(default_factory=list)    # ran this session
+    executed: List[str] = field(default_factory=list)    # ran, in order done
     resumed: List[str] = field(default_factory=list)     # from the journal
     quarantined: List[JobFailure] = field(default_factory=list)
     retried: Dict[str, int] = field(default_factory=dict)  # failures healed
+    worker_restarts: int = 0                             # pool slots replaced
     elapsed_seconds: float = 0.0
 
     @property
@@ -97,9 +99,11 @@ class SweepReport:
     def describe(self) -> str:
         """Human-readable multi-line summary (the explicit failure report)."""
         completed = len(self.executed) + len(self.resumed)
+        restarts = f", {self.worker_restarts} worker restart(s)" \
+            if self.worker_restarts else ""
         lines = [f"sweep: {completed}/{self.total_jobs} jobs completed "
                  f"({len(self.resumed)} resumed from checkpoint, "
-                 f"{len(self.quarantined)} quarantined) "
+                 f"{len(self.quarantined)} quarantined{restarts}) "
                  f"in {self.elapsed_seconds:.1f}s"]
         for job_id, failures in sorted(self.retried.items()):
             lines.append(f"  retried {job_id}: succeeded after "
@@ -110,41 +114,6 @@ class SweepReport:
             for number, error in enumerate(failure.errors, 1):
                 lines.append(f"    attempt {number}: {error}")
         return "\n".join(lines)
-
-
-@dataclass
-class _PendingAttempt:
-    job: JobSpec
-    attempt: int              # 0-based attempt counter
-    eligible_at: float        # monotonic time before which it must not start
-    order: int                # canonical position, for deterministic pops
-
-
-class _RunningJob:
-    __slots__ = ("entry", "process", "conn", "started_at")
-
-    def __init__(self, entry, process, conn, started_at):
-        self.entry = entry
-        self.process = process
-        self.conn = conn
-        self.started_at = started_at
-
-
-def _pool_worker(conn, job: JobSpec, attempt: int,
-                 fault_plan: Optional[FaultPlan]) -> None:
-    """Run one job in a worker process; ship outcome over ``conn``."""
-    try:
-        if fault_plan is not None:
-            fault_plan.apply(job.job_id, attempt)
-        result = execute_job(job)
-        conn.send(("ok", result.to_dict()))
-    except BaseException as error:   # ship *any* failure back to the parent
-        try:
-            conn.send(("error", f"{type(error).__name__}: {error}"))
-        except (BrokenPipeError, OSError):   # parent already gave up on us
-            pass
-    finally:
-        conn.close()
 
 
 class SweepRunner:
@@ -195,8 +164,8 @@ class SweepRunner:
         remaining = [job for job in jobs if job.job_id not in completed]
         if cfg.jobs == 1:
             self._run_serial(remaining, completed, report, journal)
-        else:
-            self._run_parallel(remaining, completed, report, journal)
+        elif remaining:
+            self._run_pool(remaining, completed, report, journal)
         # A finished sweep keeps no fast-loop views.  (Imported here, as
         # the simulator imports the fast loop, to keep it out of start-up.)
         from ..core.fastpath import release_views
@@ -207,7 +176,7 @@ class SweepRunner:
                    for job in jobs if job.job_id in completed}
         return ordered, report
 
-    # --------------------------------------------------------------- shared
+    # --------------------------------------------------------------- serial
 
     def _backoff_delay(self, job: JobSpec, attempt: int) -> float:
         """Deterministic jittered delay before retrying ``job``.
@@ -219,19 +188,6 @@ class SweepRunner:
         cfg = self.config
         return jittered_backoff(cfg.backoff_seconds, cfg.backoff_cap_seconds,
                                 attempt, job.seed, f"backoff/{job.job_id}")
-
-    def _record_success(self, job: JobSpec, result: SimulationResult,
-                        attempt: int, completed, report, journal) -> None:
-        completed[job.job_id] = result
-        report.executed.append(job.job_id)
-        if attempt:
-            report.retried[job.job_id] = attempt
-        if journal is not None:
-            journal.record(job.job_id, result)
-        if self.progress is not None:
-            self.progress(job, result)
-
-    # --------------------------------------------------------------- serial
 
     def _run_serial(self, jobs: Sequence[JobSpec], completed, report,
                     journal) -> None:
@@ -247,28 +203,35 @@ class SweepRunner:
         """
         from ..core.fastpath import release_views
         cfg = self.config
-        trace = None
+        faults = self.fault_plan.schedule(job.job_id for job in jobs) \
+            if self.fault_plan is not None else {}
+        trace_key = None
         for job in jobs:
-            job_trace = (job.workload, job.num_instructions, job.seed,
-                         job.engine, job.engine_params)
-            if job_trace != trace:
+            if job.trace_key != trace_key:
                 release_views()
-                trace = job_trace
+                trace_key = job.trace_key
+            plan = faults.get(job.job_id, ())
             errors: List[str] = []
             for attempt in range(cfg.retries + 1):
                 if attempt:
                     time.sleep(self._backoff_delay(job, attempt - 1))
                 try:
-                    if self.fault_plan is not None:
-                        self.fault_plan.apply(job.job_id, attempt)
+                    if attempt < len(plan):
+                        apply_fault(plan[attempt])
                     result = execute_job(job)
                 except KeyboardInterrupt:
                     raise
                 except Exception as error:
                     errors.append(f"{type(error).__name__}: {error}")
                     continue
-                self._record_success(job, result, attempt, completed,
-                                     report, journal)
+                completed[job.job_id] = result
+                report.executed.append(job.job_id)
+                if attempt:
+                    report.retried[job.job_id] = attempt
+                if journal is not None:
+                    journal.record(job.job_id, result)
+                if self.progress is not None:
+                    self.progress(job, result)
                 break
             else:
                 report.quarantined.append(JobFailure(
@@ -276,117 +239,36 @@ class SweepRunner:
 
     # ------------------------------------------------------------- parallel
 
-    def _run_parallel(self, jobs: Sequence[JobSpec], completed, report,
-                      journal) -> None:
+    def _run_pool(self, jobs: Sequence[JobSpec], completed, report,
+                  journal) -> None:
+        """Run ``jobs`` on a supervised :class:`WorkerPool`.
+
+        The pool enforces the per-attempt timeout as its deadline, retries
+        with the same backoff base and cap, and hands each result back as
+        it completes, so every finished job is journaled at once.
+        """
+        # Imported here: serial sweeps never load the service package.
+        from ..service.supervisor import PoolConfig, WorkerPool
         cfg = self.config
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:       # platform without fork: jobs must pickle
-            ctx = multiprocessing.get_context()
+        by_id = {job.job_id: job for job in jobs}
+        faults = self.fault_plan.schedule(by_id) \
+            if self.fault_plan is not None else None
+        pool_config = PoolConfig(
+            workers=min(cfg.jobs, len(jobs)), retries=cfg.retries,
+            deadline_seconds=cfg.timeout_seconds,
+            retry_backoff_seconds=cfg.backoff_seconds,
+            retry_backoff_cap_seconds=cfg.backoff_cap_seconds)
 
-        pending: List[_PendingAttempt] = [
-            _PendingAttempt(job=job, attempt=0, eligible_at=0.0, order=index)
-            for index, job in enumerate(jobs)]
-        running: Dict[str, _RunningJob] = {}
-        errors: Dict[str, List[str]] = {}
+        def record(job_id: str, result: SimulationResult) -> None:
+            completed[job_id] = result
+            if journal is not None:
+                journal.record(job_id, result)
+            if self.progress is not None:
+                self.progress(by_id[job_id], result)
 
-        def fail(entry: _PendingAttempt, message: str) -> None:
-            history = errors.setdefault(entry.job.job_id, [])
-            history.append(message)
-            if entry.attempt < cfg.retries:
-                pending.append(_PendingAttempt(
-                    job=entry.job, attempt=entry.attempt + 1,
-                    eligible_at=(time.monotonic() +
-                                 self._backoff_delay(entry.job,
-                                                     entry.attempt)),
-                    order=entry.order))
-            else:
-                report.quarantined.append(JobFailure(
-                    job_id=entry.job.job_id, attempts=len(history),
-                    errors=history))
-
-        try:
-            while pending or running:
-                now = time.monotonic()
-                # Launch eligible attempts into free slots, canonical order
-                # first so serial and parallel sweeps schedule alike.
-                pending.sort(key=lambda e: (e.order, e.attempt))
-                launched = []
-                for entry in pending:
-                    if len(running) + len(launched) >= cfg.jobs:
-                        break
-                    if entry.eligible_at > now:
-                        continue
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    process = ctx.Process(
-                        target=_pool_worker,
-                        args=(child_conn, entry.job, entry.attempt,
-                              self.fault_plan),
-                        daemon=True)
-                    process.start()
-                    child_conn.close()
-                    running[entry.job.job_id] = _RunningJob(
-                        entry, process, parent_conn, time.monotonic())
-                    launched.append(entry)
-                for entry in launched:
-                    pending.remove(entry)
-
-                progressed = bool(launched)
-                for job_id, run in list(running.items()):
-                    outcome = self._poll_worker(run, time.monotonic())
-                    if outcome is None:
-                        continue
-                    progressed = True
-                    del running[job_id]
-                    status, payload = outcome
-                    if status == "ok":
-                        attempts_failed = len(errors.get(job_id, []))
-                        if attempts_failed:
-                            report.retried[job_id] = attempts_failed
-                        completed[job_id] = payload
-                        report.executed.append(job_id)
-                        if journal is not None:
-                            journal.record(job_id, payload)
-                        if self.progress is not None:
-                            self.progress(run.entry.job, payload)
-                    else:
-                        fail(run.entry, payload)
-
-                if not progressed:
-                    time.sleep(cfg.poll_interval_seconds)
-        except BaseException:
-            # Interrupt/crash: reap workers so completed work stays journaled
-            # and the next resume picks up cleanly.
-            for run in running.values():
-                run.process.terminate()
-                run.process.join(timeout=5)
-                run.conn.close()
-            raise
-
-    def _poll_worker(self, run: _RunningJob, now: float):
-        """One worker poll; returns ``("ok", result) | ("error", msg) | None``."""
-        cfg = self.config
-        if run.conn.poll():
-            try:
-                status, payload = run.conn.recv()
-            except (EOFError, OSError):
-                status, payload = "error", "worker died before reporting"
-            run.process.join(timeout=5)
-            run.conn.close()
-            if status == "ok":
-                return "ok", SimulationResult.from_dict(payload)
-            return "error", payload
-        if not run.process.is_alive():
-            run.process.join(timeout=5)
-            run.conn.close()
-            return ("error", "worker died without a result "
-                    f"(exit code {run.process.exitcode})")
-        if cfg.timeout_seconds is not None and \
-                now - run.started_at > cfg.timeout_seconds:
-            run.process.terminate()
-            run.process.join(timeout=5)
-            run.conn.close()
-            return ("error",
-                    f"timed out after {cfg.timeout_seconds:g}s "
-                    f"(attempt {run.entry.attempt + 1})")
-        return None
+        with WorkerPool(pool_config, faults=faults) as pool:
+            _, batch = pool.run_batch(list(by_id.items()), on_result=record)
+        report.executed += batch.executed
+        report.retried.update(batch.retried)
+        report.quarantined += batch.quarantined
+        report.worker_restarts = batch.worker_restarts

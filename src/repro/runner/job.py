@@ -113,6 +113,13 @@ class JobSpec:
             return base
         return f"{base}@{self.engine}"
 
+    @property
+    def trace_key(self) -> Tuple[Any, ...]:
+        """The fields that pick this spec's trace: specs with equal keys
+        simulate the same trace, whatever their design."""
+        return (self.workload, self.num_instructions, self.seed,
+                self.engine, self.engine_params)
+
     def _set_fields(self) -> Dict[str, Any]:
         """Every field, but ``label`` and ``telemetry`` only when set.
 
@@ -246,16 +253,18 @@ def build_policy_jobs(workloads: Sequence[str],
 def execute_job(spec: JobSpec) -> SimulationResult:
     """Run one spec to completion in the current process.
 
-    Sweeps (serial and forked), service workers and ``repro run`` all run
-    specs here, so the same spec gives the same result on every path: the
-    trace and configuration are rebuilt deterministically from the spec's
-    primitives, and the simulator checks its invariants strictly.
+    Serial sweeps, pool workers (``--jobs N`` sweeps and the job service)
+    and ``repro run`` all run specs here, so the same spec gives the same
+    result on every path: the trace and configuration are rebuilt
+    deterministically from the spec's primitives, and the simulator checks
+    its invariants strictly.
 
     Counters-only specs take the fast serve loop; telemetry specs keep the
     stepped loop, the one that emits events.  The two give equal results.
-    The fast loop's trace views stay cached: only a caller that knows it is
-    done with a trace may release them, as the sweep runner does between
-    traces (:func:`repro.core.fastpath.release_views`).
+    The fast loop's trace views stay cached: only a caller that runs specs
+    in turn may release them, as the serial runner and pool workers do when
+    :attr:`JobSpec.trace_key` changes
+    (:func:`repro.core.fastpath.release_views`).
     """
     # Imported here: experiment.py builds its sweeps on top of this module,
     # so a module-level import would be circular.

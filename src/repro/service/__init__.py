@@ -24,10 +24,9 @@ from ..runner.job import JobSpec
 from .chaos import ChaosReport, ChaosSpec, run_chaos
 from .server import ServiceBatchResult, ServiceServer, SimulationService
 from .store import ResultStore
-from .supervisor import BatchReport, PoolConfig, WorkerPool
+from .supervisor import PoolConfig, WorkerPool
 
 __all__ = [
-    "BatchReport",
     "ChaosReport",
     "ChaosSpec",
     "JobSpec",

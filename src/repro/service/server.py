@@ -33,10 +33,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..common.errors import ProtocolError, ServiceError
 from ..runner.checkpoint import CheckpointJournal
+from ..runner.executor import SweepReport
 from ..runner.job import JobSpec
 from ..telemetry.hub import TelemetryHub
 from .store import ResultStore
-from .supervisor import BatchReport, PoolConfig, WorkerPool
+from .supervisor import PoolConfig, WorkerPool
 
 PathLike = Union[str, Path]
 
@@ -56,7 +57,7 @@ class ServiceBatchResult:
     #: ``key -> error history`` for quarantined jobs (the explicit gaps).
     failures: Dict[str, List[str]] = field(default_factory=dict)
     #: Pool execution report for the portion that ran (None if all cached).
-    report: Optional[BatchReport] = None
+    report: Optional[SweepReport] = None
 
     @property
     def ok(self) -> bool:

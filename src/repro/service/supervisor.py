@@ -23,32 +23,40 @@ from a sick worker is required:
   error history and the *batch completes without it* — explicit-gap partial
   results instead of nothing.
 
-Chaos directives (see :mod:`repro.service.chaos`) ride along with job
-dispatch and execute *inside the worker*, so injected kills, hangs, freezes
-and crashes exercise exactly the recovery paths real faults would.
+Fault directives (:mod:`repro.runner.faults`, built by the chaos harness
+or a sweep's ``FaultPlan``) ride along with job dispatch and execute
+*inside the worker*, so injected kills, hangs, freezes and crashes exercise
+exactly the recovery paths real faults would.
+
+The pool runs ``repro serve`` batches and every ``--jobs N`` sweep
+(:class:`repro.runner.executor.SweepRunner`).  A worker drops the fast
+loop's trace views whenever its next job's trace differs from its last
+one's, as the serial sweep does, so a long-lived worker holds one trace's
+views at a time.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
+import multiprocessing.util
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
-from ..common.errors import InjectedFaultError, ServiceError
+from ..common.errors import ServiceError
 from ..core.metrics import SimulationResult
 from ..runner.backoff import jittered_backoff
-from ..runner.executor import JobFailure
+from ..runner.executor import JobFailure, SweepReport
+from ..runner.faults import apply_fault
 from ..runner.job import JobSpec, execute_job
 from ..telemetry.events import EventKind
 from ..telemetry.hub import TelemetryHub
 
-#: Fault directive keys a worker understands (everything else is rejected
-#: at schedule build time, not silently ignored in the worker).
-FAULT_KINDS = ("crash", "kill", "hang", "freeze")
+#: Called with ``(key, result)`` as each job of a batch completes.
+ResultFn = Callable[[str, SimulationResult], None]
 
 
 @dataclass(frozen=True)
@@ -84,54 +92,7 @@ class PoolConfig:
                 "ordinary scheduling jitter reads as a frozen worker")
 
 
-@dataclass
-class BatchReport:
-    """What actually happened while executing one batch."""
-
-    total_jobs: int = 0
-    executed: List[str] = field(default_factory=list)   # completion order
-    retried: Dict[str, int] = field(default_factory=dict)
-    quarantined: List[JobFailure] = field(default_factory=list)
-    worker_restarts: int = 0
-    elapsed_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.quarantined
-
-    def describe(self) -> str:
-        lines = [f"batch: {len(self.executed)}/{self.total_jobs} jobs "
-                 f"completed ({len(self.quarantined)} quarantined, "
-                 f"{self.worker_restarts} worker restart(s)) "
-                 f"in {self.elapsed_seconds:.1f}s"]
-        for key, failures in sorted(self.retried.items()):
-            lines.append(f"  retried {key}: succeeded after "
-                         f"{failures} failed attempt(s)")
-        for failure in self.quarantined:
-            lines.append(f"  QUARANTINED {failure.job_id} after "
-                         f"{failure.attempts} attempt(s):")
-            for number, error in enumerate(failure.errors, 1):
-                lines.append(f"    attempt {number}: {error}")
-        return "\n".join(lines)
-
-
 # --------------------------------------------------------------- worker side
-
-def _apply_worker_fault(fault: Mapping[str, Any]) -> None:
-    """Execute an injected fault directive inside the worker process."""
-    if fault.get("crash"):
-        raise InjectedFaultError("injected in-process crash")
-    if fault.get("kill"):
-        # Process-level death mid-job: no cleanup, no goodbye — exactly
-        # what SIGKILL from an OOM killer or operator looks like.
-        os.kill(os.getpid(), signal.SIGKILL)
-    hang = float(fault.get("hang", 0.0) or 0.0)
-    if hang > 0.0:
-        time.sleep(hang)     # heartbeats keep flowing; the deadline trips
-    freeze = float(fault.get("freeze", 0.0) or 0.0)
-    if freeze > 0.0:
-        time.sleep(freeze)   # heartbeats were suppressed; the monitor trips
-
 
 def _worker_main(conn: Any, heartbeat_interval: float) -> None:
     """Worker loop: recv job -> beat -> simulate -> send outcome."""
@@ -140,6 +101,7 @@ def _worker_main(conn: Any, heartbeat_interval: float) -> None:
     # job error.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     send_lock = threading.Lock()
+    trace_key: Optional[Tuple[Any, ...]] = None
 
     def send(message: Tuple[Any, ...]) -> None:
         with send_lock:
@@ -172,9 +134,15 @@ def _worker_main(conn: Any, heartbeat_interval: float) -> None:
             beater.start()
         try:
             send(("beat", key))            # instant first beat on dispatch
-            if fault:
-                _apply_worker_fault(fault)
             spec = JobSpec.from_dict(spec_dict)
+            if spec.trace_key != trace_key:
+                # Imported here, so `repro serve` start-up does not load
+                # the fast loop.
+                from ..core.fastpath import release_views
+                release_views()
+                trace_key = spec.trace_key
+            if fault:
+                apply_fault(fault)
             result = execute_job(spec)
             send(("ok", key, attempt, result.to_dict()))
         except BaseException as error:     # ship *any* failure to the parent
@@ -278,6 +246,12 @@ class WorkerPool:
 
     def _spawn(self, slot: _Slot) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # Every worker forked from now on closes its copy of the parent's
+        # end: a copy held by a worker would keep the pipe open after the
+        # parent dies, and an idle worker would wait for jobs forever
+        # instead of reading EOF and exiting.
+        multiprocessing.util.register_after_fork(
+            parent_conn, type(parent_conn).close)
         process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.config.heartbeat_interval_seconds),
@@ -289,7 +263,7 @@ class WorkerPool:
         slot.busy = None
         slot.respawn_at = 0.0
 
-    def _replace(self, slot: _Slot, reason: str, report: BatchReport) -> None:
+    def _replace(self, slot: _Slot, reason: str, report: SweepReport) -> None:
         """Kill (if needed) and schedule a respawn with escalating backoff."""
         if slot.process is not None:
             if slot.process.is_alive():
@@ -321,12 +295,15 @@ class WorkerPool:
 
     # -------------------------------------------------------------- batching
 
-    def run_batch(self, assignments: Sequence[Tuple[str, JobSpec]]
-                  ) -> Tuple[Dict[str, SimulationResult], BatchReport]:
+    def run_batch(self, assignments: Sequence[Tuple[str, JobSpec]],
+                  on_result: Optional[ResultFn] = None
+                  ) -> Tuple[Dict[str, SimulationResult], SweepReport]:
         """Execute ``(key, spec)`` assignments; returns ``(results, report)``.
 
         Results preserve canonical submission order; quarantined keys are
         simply absent (the report carries their error history).
+        ``on_result(key, result)`` is called as each job completes, so a
+        caller can persist results before the batch ends.
         """
         if not self._started:
             raise ServiceError("worker pool is not started")
@@ -338,7 +315,7 @@ class WorkerPool:
 
         cfg = self.config
         started = time.monotonic()
-        report = BatchReport(total_jobs=len(assignments))
+        report = SweepReport(total_jobs=len(assignments))
         completed: Dict[str, SimulationResult] = {}
         errors: Dict[str, List[str]] = {}
         pending: List[_Attempt] = [
@@ -372,8 +349,11 @@ class WorkerPool:
             failed_before = len(errors.get(attempt.key, []))
             if failed_before:
                 report.retried[attempt.key] = failed_before
-            completed[attempt.key] = SimulationResult.from_dict(payload)
+            result = SimulationResult.from_dict(payload)
+            completed[attempt.key] = result
             report.executed.append(attempt.key)
+            if on_result is not None:
+                on_result(attempt.key, result)
 
         while pending or any(slot.busy is not None for slot in self._slots):
             now = time.monotonic()
@@ -448,9 +428,8 @@ class WorkerPool:
                         self._replace(slot, "deadline exceeded", report)
                         fail_attempt(
                             attempt,
-                            f"deadline exceeded after "
-                            f"{cfg.deadline_seconds:g}s "
-                            f"(attempt {attempt.attempt + 1})")
+                            f"timed out after {cfg.deadline_seconds:g}s "
+                            f"(deadline, attempt {attempt.attempt + 1})")
                         progressed = True
                     elif now - slot.last_beat > \
                             cfg.heartbeat_timeout_seconds:

@@ -1,10 +1,10 @@
 """One spec, every path.
 
-Serial and forked sweeps, the service's worker pool and ``repro run`` all
-run a :class:`~repro.runner.job.JobSpec` through ``execute_job``, so each
-path must give the same result byte for byte.  The capacity spec's label
-(``OC_4K``) differs from its design (``baseline``), so the forked sweep
-and the pool show that the label crosses a process boundary.
+Serial and ``--jobs N`` sweeps, the service's worker pool and ``repro
+run`` all run a :class:`~repro.runner.job.JobSpec` through ``execute_job``,
+so each path must give the same result byte for byte.  The capacity spec's
+label (``OC_4K``) differs from its design (``baseline``), so the parallel
+sweep and the pool show that the label crosses a process boundary.
 """
 
 import pytest

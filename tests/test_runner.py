@@ -349,6 +349,13 @@ class TestSerialRunner:
         assert report.ok
         assert report.retried == {"bm-x64/baseline": 2}
 
+    def test_fault_plan_schedules_crashes_before_hangs(self):
+        plan = FaultPlan(crash={"a": 1, "b": 2}, hang={"a": 3, "b": 1},
+                         hang_seconds=5.0)
+        assert plan.schedule(["a", "b", "c"]) == {
+            "a": [{"crash": True}, {"hang": 5.0}, {"hang": 5.0}],
+            "b": [{"crash": True}, {"crash": True}]}
+
     def test_exhausted_retries_quarantine(self):
         jobs = _jobs(["bm-x64"], LABELS)
         plan = FaultPlan(crash={"bm-x64/clasp": 99})
@@ -433,6 +440,21 @@ class TestParallelRunner:
             assert results2[job_id] == result
 
 
+    def test_parallel_journal_holds_the_serial_records(self, tmp_path):
+        # The pool journals each result as it completes, so a parallel
+        # journal's order varies from run to run: compare it as a set.
+        jobs = _jobs()
+        journals = {}
+        for workers in (1, 2):
+            directory = tmp_path / f"jobs-{workers}"
+            SweepRunner(RunnerConfig(jobs=workers,
+                                     checkpoint_dir=directory)).run(jobs)
+            lines = (directory / "journal.jsonl").read_text().splitlines()
+            journals[workers] = sorted(lines)
+        assert len(journals[1]) == len(jobs)
+        assert journals[2] == journals[1]
+
+
 class TestSweepIntegration:
     def test_policy_sweep_parallel_tables_identical(self):
         kwargs = dict(workloads=["bm-x64"], labels=LABELS,
@@ -443,30 +465,37 @@ class TestSweepIntegration:
         table_p = parallel.normalized(lambda r: r.upc, "baseline")
         assert table_s == table_p     # bit-identical aggregate tables
 
-    def test_parallel_replay_sweep_builds_no_trace_in_the_parent(
-            self, tmp_path, monkeypatch):
-        """workload_trace never caches replay traces, so a pre-fork warm-up
-        that unpacked them would be work no forked job could reuse."""
+    @pytest.mark.parametrize("engine", ["synthetic", "replay"])
+    def test_parallel_sweep_builds_no_trace_in_the_parent(
+            self, engine, tmp_path, monkeypatch):
+        """Pool workers build their own traces, so a trace built in the
+        parent would be work no job reuses (and workload_trace never caches
+        replay traces at all)."""
+        from repro.core import experiment
         from repro.workloads import tracefile
-        path = tmp_path / "bm-x64.uoptrace"
-        tracefile.pack_trace(workload_trace("bm-x64", INSTRUCTIONS), path)
-        kwargs = dict(workloads=["bm-x64"], labels=("baseline", "clasp", "rac"),
-                      num_instructions=INSTRUCTIONS, engine="replay",
-                      engine_params={"path": str(path)})
+        kwargs = dict(workloads=WORKLOADS, labels=("baseline", "clasp", "rac"),
+                      num_instructions=INSTRUCTIONS)
+        if engine == "replay":
+            path = tmp_path / "bm-x64.uoptrace"
+            tracefile.pack_trace(workload_trace("bm-x64", INSTRUCTIONS), path)
+            kwargs.update(workloads=["bm-x64"], engine="replay",
+                          engine_params={"path": str(path)})
         serial = run_policy_sweep(**kwargs)
-        unpacked = []
-        unpack = tracefile.unpack_trace
+        experiment.clear_trace_cache()
+        built = []
+        create_engine = experiment.create_engine
 
-        def counting_unpack(*args, **kwargs):
-            unpacked.append(args)
-            return unpack(*args, **kwargs)
+        def counting_create_engine(*args, **kwargs):
+            built.append(args)
+            return create_engine(*args, **kwargs)
 
-        # Forked jobs count in their own copy of the list; only the
-        # parent's calls reach this one.
-        monkeypatch.setattr(tracefile, "unpack_trace", counting_unpack)
+        # Pool workers count in their own copy of the list; only the
+        # parent's trace builds reach this one.
+        monkeypatch.setattr(experiment, "create_engine",
+                            counting_create_engine)
         parallel = run_policy_sweep(runner=RunnerConfig(jobs=2), **kwargs)
         assert parallel.report.ok
-        assert unpacked == []
+        assert built == []
         assert parallel.results == serial.results
 
     def test_sweep_report_attached(self):

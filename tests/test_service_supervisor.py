@@ -3,12 +3,17 @@ heartbeats, and quarantine — with injected process-level faults."""
 
 import os
 import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.common.errors import ServiceError
+from repro.core import fastpath
+from repro.runner.executor import SweepReport
 from repro.runner.job import JobSpec, execute_job
-from repro.service.supervisor import BatchReport, PoolConfig, WorkerPool
+from repro.service.supervisor import PoolConfig, WorkerPool
 from repro.telemetry import TelemetryHub
 
 INSTRUCTIONS = 1200
@@ -168,6 +173,77 @@ class TestFaultRecovery:
             {k: r.to_dict() for k, r in faulted.items()}
 
 
+class TestWorkerViews:
+    def test_workers_release_views_when_the_trace_changes(
+            self, tmp_path, monkeypatch):
+        # Patched before start(), so the forked worker inherits the
+        # counting wrapper; each call appends a line to a file the parent
+        # can read.  A worker that never releases makes no calls.
+        calls = tmp_path / "release_calls"
+        release = fastpath.release_views
+
+        def counting_release(*args, **kwargs):
+            with open(calls, "a") as log:
+                log.write("release\n")
+            return release(*args, **kwargs)
+
+        monkeypatch.setattr(fastpath, "release_views", counting_release)
+        specs = [_spec(design="baseline"), _spec(design="clasp"),
+                 _spec(workload="bm-lla")]           # traces A, A, B
+        results, report = _run([(spec.key, spec) for spec in specs],
+                               workers=1)
+        assert report.ok
+        assert calls.read_text().splitlines() == ["release"] * 2
+        for spec in specs:
+            assert results[spec.key] == execute_job(spec)
+
+
+_ORPHAN_SCRIPT = """
+import os, signal, sys
+from repro.service.supervisor import PoolConfig, WorkerPool
+pool = WorkerPool(PoolConfig(workers=2))
+pool.start()
+with open(sys.argv[1], "w") as out:
+    out.write(" ".join(str(slot.process.pid) for slot in pool._slots))
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs /proc to see orphaned workers")
+def test_idle_workers_exit_when_the_parent_is_killed(tmp_path):
+    pids_file = tmp_path / "pids"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", env.get("PYTHONPATH")]))
+    parent = subprocess.run(
+        [sys.executable, "-c", _ORPHAN_SCRIPT, str(pids_file)], env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=60)
+    assert parent.returncode == -signal.SIGKILL
+    pids = [int(pid) for pid in pids_file.read_text().split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10.0
+    try:
+        while any(_running(pid) for pid in pids) and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_running(pid) for pid in pids)
+    finally:
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 class TestBatchReport:
     def test_describe_mentions_quarantine(self):
         spec = _spec()
@@ -177,5 +253,13 @@ class TestBatchReport:
         text = report.describe()
         assert "QUARANTINED" in text and spec.key in text
 
+    def test_describe_counts_worker_restarts(self):
+        spec = _spec()
+        _results, report = _run([(spec.key, spec)],
+                                faults={spec.key: [{"kill": True}]})
+        assert isinstance(report, SweepReport)
+        assert f"{report.worker_restarts} worker restart(s)" in \
+            report.describe()
+
     def test_default_report_is_ok(self):
-        assert BatchReport().ok
+        assert SweepReport().ok
